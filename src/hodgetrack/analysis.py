@@ -257,7 +257,7 @@ def hgc_values(sl: ComplexSlice, n: int, count: int, validate: bool = True) -> H
     """
     if count < 1:
         raise InputError(f"eigenpair count must be positive, got {count}")
-    spec = spectrum_of_slice(sl, n, m=None, validate=validate)
+    spec = spectrum_of_slice(sl, n, m=count, validate=validate)
     if len(spec.pairs) < count:
         raise InsufficientSpectrumError(
             f"{count} eigenpairs requested but only {len(spec.pairs)} exist"

@@ -12,12 +12,14 @@ that lie in a single subspace.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .complexes import ComplexSlice, FilteredComplex, SparseSignMatrix, boundary_matrix, sublevel
 from .errors import ClassificationError, DimensionError, SolverError
@@ -33,6 +35,8 @@ RESIDUAL_COEFF = 1e-8  # accepted eigenpair backward error
 CLUSTER_COEFF = 1e-8  # eigenvalue gap below which eigenspaces are merged
 SPLIT_SV_CUT = 1e-3  # singular value cut when splitting a degenerate eigenspace
 DENSE_LIMIT = 3000  # largest operator handled by the dense solver
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -424,16 +428,91 @@ def assign_types(vals: np.ndarray, vecs: np.ndarray, ops: HodgeOperators, lam_ma
     return pairs
 
 
+def _exact_rank(mat: SparseSignMatrix) -> tuple[int, int, tuple[int, int]]:
+    """(rank, columns peeled, shape of the core left for the numerical check).
+
+    A matrix whose every column holds one +1 and one -1 is the incidence
+    matrix of a graph on its rows: its rank is n_rows minus the number of
+    connected components, isolated rows counting as components. Any other
+    matrix is peeled: a row with exactly one live entry is a free face, and
+    row-reducing with it splits off a 1x1 block, so deleting that row and its
+    column adds exactly 1 to the rank over any field. Peeling repeats until
+    no free face is left; only the remaining core (non-empty when the complex
+    has cycles of the column dimension, such as a hollow tetrahedron) is
+    handed to the numerical rank.
+    """
+    n_rows, n_cols = mat.n_rows, mat.n_cols
+    if n_rows == 0 or n_cols == 0:
+        return 0, 0, (0, 0)
+    col_nnz = np.bincount(mat.cols, minlength=n_cols)
+    col_sums = np.bincount(mat.cols, weights=mat.signs, minlength=n_cols)
+    by_col = np.argsort(mat.cols, kind="stable")
+    if np.all(col_nnz == 2) and not np.any(col_sums):
+        ends = mat.rows[by_col].reshape(-1, 2)
+        graph = sp.coo_matrix((np.ones(n_cols), (ends[:, 0], ends[:, 1])), shape=(n_rows, n_rows))
+        n_components = connected_components(graph, directed=False)[0]
+        return n_rows - int(n_components), 0, (0, 0)
+
+    by_row = np.argsort(mat.rows, kind="stable")
+    row_cols = mat.cols[by_row].tolist()
+    row_nnz = np.bincount(mat.rows, minlength=n_rows)
+    row_ptr = np.concatenate(([0], np.cumsum(row_nnz))).tolist()
+    col_rows = mat.rows[by_col].tolist()
+    col_ptr = np.concatenate(([0], np.cumsum(col_nnz))).tolist()
+    live = row_nnz.tolist()  # entries of each row in columns not yet peeled
+    alive = [True] * n_cols
+    free = [r for r in range(n_rows) if live[r] == 1]
+    peeled = 0
+    while free:
+        r = free.pop()
+        if live[r] != 1:
+            continue
+        c = next(c for c in row_cols[row_ptr[r] : row_ptr[r + 1]] if alive[c])
+        alive[c] = False
+        peeled += 1
+        for r2 in col_rows[col_ptr[c] : col_ptr[c + 1]]:
+            live[r2] -= 1
+            if live[r2] == 1:
+                free.append(r2)
+
+    core_rows = np.flatnonzero(np.asarray(live) > 0)
+    core_cols = np.flatnonzero(np.asarray(alive) & (col_nnz > 0))
+    if len(core_cols) == 0:
+        return peeled, peeled, (0, 0)
+    keep = np.isin(mat.cols, core_cols)
+    core = np.zeros((len(core_rows), len(core_cols)))
+    core[
+        np.searchsorted(core_rows, mat.rows[keep]),
+        np.searchsorted(core_cols, mat.cols[keep]),
+    ] = mat.signs[keep]
+    return peeled + int(np.linalg.matrix_rank(core)), peeled, core.shape
+
+
 def rank_of(mat: SparseSignMatrix) -> int:
-    """Numerical rank of a signed incidence matrix."""
-    if mat.n_rows == 0 or mat.n_cols == 0:
-        return 0
-    return int(np.linalg.matrix_rank(mat.to_dense().astype(float)))
+    """Exact rank of a signed incidence matrix: connected components for a
+    vertex-edge matrix, free-face peeling otherwise, and a numerical rank
+    only on the unpeelable core. No dense copy of the whole matrix is built.
+    """
+    return _exact_rank(mat)[0]
 
 
 def harmonic_dimension(ops: HodgeOperators) -> int:
-    """Kernel dimension of L_k by the rank identity |S_k| - rk B_k - rk B_{k+1}."""
-    return ops.n - rank_of(ops.b_down) - rank_of(ops.b_up)
+    """Kernel dimension of L_k by the rank identity |S_k| - rk B_k - rk B_{k+1}.
+
+    Both ranks are exact (components / free-face peeling, numerical rank only
+    on the unpeelable core; see rank_of). The ranks, the peeled column counts
+    and the core shapes are logged at DEBUG.
+    """
+    rk_down, peeled_down, core_down = _exact_rank(ops.b_down)
+    rk_up, peeled_up, core_up = _exact_rank(ops.b_up)
+    logger.debug(
+        "harmonic_dimension k=%d n=%d: rk B_%d=%d (peeled %d, core %dx%d), "
+        "rk B_%d=%d (peeled %d, core %dx%d)",
+        ops.k, ops.n,
+        ops.k, rk_down, peeled_down, *core_down,
+        ops.k + 1, rk_up, peeled_up, *core_up,
+    )
+    return ops.n - rk_down - rk_up
 
 
 def spectrum_at(
@@ -446,7 +525,9 @@ def spectrum_at(
     """Typed spectrum of the dimension-k Laplacian of the sublevel slice at t.
 
     With validate=True the harmonic count is cross-checked against the rank
-    identity; a mismatch raises SolverError.
+    identity dim ker L_k = |S_k| - rk B_k - rk B_{k+1}, with exact ranks
+    (components / free-face peeling, numerical rank only on the unpeelable
+    core); a mismatch raises SolverError.
     """
     sl = sublevel(fc, t)
     return spectrum_of_slice(sl, k, m=m, validate=validate)

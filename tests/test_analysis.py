@@ -277,6 +277,21 @@ def test_hgc_filled_triangle_symmetry():
     assert abs(curl[0] - curl[1]) <= 1e-12 and abs(curl[1] - curl[2]) <= 1e-12
 
 
+def test_hgc_above_dense_limit_uses_budget(rng, monkeypatch):
+    # above DENSE_LIMIT only the iterative solver runs, and it cannot return
+    # the full spectrum: hgc must ask for its count, not for every pair
+    import hodgetrack.spectral as spectral
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values
+
+    pts = rng.uniform(-1, 1, size=(40, 2))
+    fc = filtration_values(delaunay_2d(PointCloud(pts)))
+    sl = sublevel(fc, fc.max_value)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", sl.n_simplices(1) // 2)
+    res = hgc_values(sl, 1, count=10)
+    assert np.all(res.triples >= 0.0) and np.all(res.triples <= 1.0 + 1e-15)
+    assert res.triples.max() == pytest.approx(1.0)
+
+
 def test_hgc_count_validation():
     sl = sublevel(filled_triangle(), 1.0)
     with pytest.raises(InputError):

@@ -1,11 +1,17 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgetrack.spectral as spectral
 from hodgetrack import (
     ClassificationError,
     FilteredComplex,
     SolverError,
+    boundary_matrix,
     classify,
     eigendecompose,
     harmonic_dimension,
@@ -15,7 +21,8 @@ from hodgetrack import (
     spectrum_of_slice,
     sublevel,
 )
-from hodgetrack.spectral import canonical_sign, split_eigenspace
+from hodgetrack.complexes import SparseSignMatrix
+from hodgetrack.spectral import canonical_sign, rank_of, split_eigenspace
 
 from conftest import cycle_complex, filled_triangle, hollow_triangle, path_complex
 from oracles import cycle_spectrum, integer_rank
@@ -189,6 +196,107 @@ def test_harmonic_dimension_matches_integer_oracle(rng):
         assert harmonic_dimension(ops) == oracle
         spec = spectrum_of_slice(sublevel(fc, 1.0), 1)
         assert spec.counts()["harmonic"] == oracle
+
+
+# -- exact ranks -----------------------------------------------------------------
+
+
+def flag_complex(n: int, edges) -> FilteredComplex:
+    """Clique complex up to dimension 3 of a graph on vertices 0..n-1."""
+    edge_set = set(edges)
+    simplices = [(i,) for i in range(n)] + sorted(edges)
+    for size in (3, 4):
+        simplices += [
+            c
+            for c in itertools.combinations(range(n), size)
+            if all(e in edge_set for e in itertools.combinations(c, 2))
+        ]
+    return FilteredComplex.from_simplices(simplices, [0.0] * n + [1.0] * (len(simplices) - n))
+
+
+@st.composite
+def flag_complexes(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return flag_complex(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_complexes())
+def test_rank_of_matches_integer_oracle(fc):
+    sl = sublevel(fc, 1.0)
+    for k in range(1, fc.dim + 1):
+        b = boundary_matrix(sl, k)
+        assert rank_of(b) == integer_rank(b.to_dense())
+
+
+def test_tetrahedron_boundary_has_core():
+    # every edge of the hollow tetrahedron lies in two triangles: nothing
+    # peels and the whole B_2 is the core
+    faces = [c for size in (1, 2, 3) for c in itertools.combinations(range(4), size)]
+    fc = FilteredComplex.from_simplices(faces, [0.0] * 4 + [1.0] * 10)
+    ops = ops_at(fc, 1.0, 2)
+    assert spectral._exact_rank(ops.b_down) == (3, 0, (6, 4))
+    assert harmonic_dimension(ops) == 1
+    assert harmonic_dimension(ops_at(fc, 1.0, 1)) == 0
+    assert spectrum_at(fc, 1.0, 2).counts()["harmonic"] == 1
+
+
+def test_solid_tetrahedron_ranks():
+    fc = flag_complex(4, list(itertools.combinations(range(4), 2)))
+    assert fc.dim == 3
+    sl = sublevel(fc, 1.0)
+    assert [rank_of(boundary_matrix(sl, k)) for k in (1, 2, 3)] == [3, 3, 1]
+    for k in (0, 1, 2, 3):
+        assert harmonic_dimension(hodge_operators(sl, k)) == (1 if k == 0 else 0)
+
+
+def test_rank_of_graph_counts_isolated_vertices():
+    # components {0,1,2}, {3,4}, {5}, {6}, {7}: rank 8 - 5
+    fc = FilteredComplex.from_simplices(
+        [(i,) for i in range(8)] + [(0, 1), (0, 2), (1, 2), (3, 4)],
+        [0.0] * 8 + [1.0] * 4,
+    )
+    b1 = boundary_matrix(sublevel(fc, 1.0), 1)
+    assert rank_of(b1) == 3 == integer_rank(b1.to_dense())
+
+
+def test_rank_of_empty_matrices():
+    empty = np.zeros(0, dtype=np.int64)
+    for n_rows, n_cols in ((0, 0), (0, 3), (3, 0), (3, 2)):
+        mat = SparseSignMatrix(n_rows=n_rows, n_cols=n_cols, rows=empty, cols=empty, signs=empty)
+        assert rank_of(mat) == 0
+
+
+def test_harmonic_dimension_matches_dense_rank_on_delaunay(rng):
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values
+
+    def dense_rank(mat):
+        if mat.n_rows == 0 or mat.n_cols == 0:
+            return 0
+        return int(np.linalg.matrix_rank(mat.to_dense().astype(float)))
+
+    fc = filtration_values(delaunay_2d(PointCloud(rng.uniform(-1, 1, size=(60, 2)))))
+    for t in np.quantile(fc.distinct_values(), [0.1, 0.3, 0.5, 0.7, 1.0]):
+        for k in (0, 1, 2):
+            ops = ops_at(fc, float(t), k)
+            dense = ops.n - dense_rank(ops.b_down) - dense_rank(ops.b_up)
+            assert harmonic_dimension(ops) == dense
+
+
+def test_harmonic_dimension_logs_empty_core_on_delaunay(rng, caplog):
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values
+
+    fc = filtration_values(delaunay_2d(PointCloud(rng.uniform(-1, 1, size=(40, 2)))))
+    ops = ops_at(fc, fc.max_value, 1)
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.spectral"):
+        harmonic_dimension(ops)
+    (record,) = caplog.records
+    msg = record.getMessage()
+    assert f"k=1 n={ops.n}" in msg
+    assert msg.count("core 0x0") == 2
+    assert f"peeled {ops.b_up.n_cols}" in msg  # every triangle has a free edge
 
 
 # -- solver paths ----------------------------------------------------------------
