@@ -2,7 +2,8 @@
 
 Every command validates its inputs, writes its outputs atomically (temp file
 plus rename), and drops a run manifest next to them recording the input hash,
-parameters, tolerances, package version, and wall time. Exit codes: 0 on
+parameters, tolerances, package version, and wall time; `track` adds the solved
+steps and per-step slice sizes under `diagnostics`. Exit codes: 0 on
 success, 1 for input errors, 2 for geometric degeneracy, 3 for solver or
 internal failures.
 """
@@ -69,6 +70,7 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     rng: str | None = None
     duration_s: float = 0.0
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _sha256(path) -> str:
@@ -278,6 +280,7 @@ def cmd_track(args) -> int:
         input_sha256=_sha256(args.input),
         outputs=outputs,
         duration_s=time.monotonic() - started,
+        diagnostics={"solved_steps": ts.solved_steps, "slice_sizes": ts.slice_sizes},
     )
     _write_manifest(manifest, f"{args.out_prefix}.manifest.json")
     print(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,6 +203,8 @@ class TrajectorySet:
     thresholds: np.ndarray
     trajectories: list[Trajectory]
     n_steps: int
+    solved_steps: list[int] = field(default_factory=list)  # steps whose spectrum was solved
+    slice_sizes: list[tuple[int, int]] = field(default_factory=list)  # (n_k, n_{k+1}) per step
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -224,11 +226,31 @@ def track(
     matches, and ends the step before its vector finds no partner; gaps are
     never bridged. Pass a list as spectra_out to also receive the per-step
     typed spectra.
+
+    Each distinct slice is solved once. A step whose slice has as many k- and
+    (k+1)-simplices as the previous step's reuses that step's spectrum with
+    only t replaced (the two share their pairs). This is exact: the grid
+    ascends strictly, so slices are nested and equal counts mean equal simplex
+    sets; L_k = B_k^T B_k + B_{k+1} B_{k+1}^T depends on nothing else, since a
+    (k-1)-face entering alone adds a zero row to B_k, which changes neither
+    L_k, the residuals nor rk B_k. The reused spectrum was validated when it
+    was solved. The solved steps are listed in solved_steps.
     """
+    k = grid.k
     slices = [sublevel(fc, t) for t in grid.thresholds]
-    spectra: list[TypedSpectrum] = [
-        spectrum_of_slice(sl, grid.k, m=grid.m, validate=validate) for sl in slices
-    ]
+    sizes = [(sl.n_simplices(k), sl.n_simplices(k + 1)) for sl in slices]
+    solved = [step == 0 or sizes[step] != sizes[step - 1] for step in range(len(slices))]
+    # all solves run before any matching: interleaving the dense eigensolves
+    # with pem's products measured slower on both
+    spectra: list[TypedSpectrum] = []
+    for sl, solve in zip(slices, solved):
+        spectra.append(
+            spectrum_of_slice(sl, k, m=grid.m, validate=validate)
+            if solve
+            else replace(spectra[-1], t=sl.t)
+        )
+    solved_steps = [step for step, solve in enumerate(solved) if solve]
+    logger.info("solved %d distinct slices for %d steps", len(solved_steps), len(slices))
     if spectra_out is not None:
         spectra_out.extend(spectra)
 
@@ -240,7 +262,7 @@ def track(
         if step == 0:
             matching = None
         else:
-            incl = inclusion_map(slices[step - 1], slices[step], grid.k)
+            incl = inclusion_map(slices[step - 1], slices[step], k)
             matching = pem(
                 spectra[step - 1].vectors(), spec.vectors(), incl, theta=theta
             )
@@ -269,15 +291,24 @@ def track(
                     )
                 )
             next_active[j] = tid
+        logger.debug(
+            "step %d t=%r n_%d=%d n_%d=%d %s: %d born, %d matched, %d died",
+            step, t, k, sizes[step][0], k + 1, sizes[step][1],
+            "solved" if solved[step] else "reused",
+            len(spec.pairs) - len(matched_dst), len(matched_dst),
+            len(active) - len(matched_dst),
+        )
         active = next_active
 
     return TrajectorySet(
-        k=grid.k,
+        k=k,
         m=grid.m,
         theta=theta,
         thresholds=grid.thresholds,
         trajectories=trajectories,
         n_steps=len(spectra),
+        solved_steps=solved_steps,
+        slice_sizes=sizes,
     )
 
 

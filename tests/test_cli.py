@@ -128,6 +128,10 @@ def test_track_outputs_and_determinism(tmp_path, complex_json):
     assert manifest["parameters"]["steps"] == 10
     assert len(manifest["parameters"]["grid"]) == 10
     assert manifest["tolerances"]["theta"] == 0.5
+    diagnostics = manifest["diagnostics"]
+    assert len(diagnostics["solved_steps"]) <= 10
+    assert len(diagnostics["slice_sizes"]) == 10
+    assert "solved_steps" not in (tmp_path / "run1.json").read_text()
 
 
 def test_track_single_step_rows(tmp_path, complex_json):

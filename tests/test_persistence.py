@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,120 @@ def test_track_deterministic_bytes(tmp_path):
     a = trajectories_to_csv(track(fc, build_grid(fc, 1)))
     b = trajectories_to_csv(track(fc, build_grid(fc, 1)))
     assert a == b
+
+
+# -- repeated slices --------------------------------------------------------------
+
+
+def late_edge_complex() -> FilteredComplex:
+    """stacked_triangles plus vertex 3, whose edge to vertex 2 enters at t=3."""
+    return FilteredComplex.from_simplices(
+        [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (2, 3)],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0],
+    )
+
+
+def delaunay_complex() -> FilteredComplex:
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values, four_disks
+
+    points, _ = four_disks(60, seed=11)
+    return filtration_values(delaunay_2d(PointCloud(points)))
+
+
+def counted_track(monkeypatch, fc, grid):
+    """track with spectrum_of_slice wrapped; returns (ts, spectra, solved t)."""
+    import hodgetrack.persistence as persistence
+
+    solved_at = []
+    solve = persistence.spectrum_of_slice
+
+    def counting(sl, *args, **kwargs):
+        solved_at.append(sl.t)
+        return solve(sl, *args, **kwargs)
+
+    monkeypatch.setattr(persistence, "spectrum_of_slice", counting)
+    spectra = []
+    ts = track(fc, grid, spectra_out=spectra)
+    return ts, spectra, solved_at
+
+
+def assert_same_spectrum(got, want):
+    assert got.t == want.t
+    assert got.k == want.k
+    assert got.n_chain == want.n_chain
+    assert got.lam_max == want.lam_max
+    assert got.kinds() == want.kinds()
+    assert got.values().tobytes() == want.values().tobytes()
+    assert got.vectors().tobytes() == want.vectors().tobytes()
+    assert [(p.residual_up, p.residual_down) for p in got.pairs] == [
+        (p.residual_up, p.residual_down) for p in want.pairs
+    ]
+
+
+def test_track_reuses_repeated_slices_exactly(monkeypatch):
+    from hodgetrack import spectrum_of_slice
+    from hodgetrack.persistence import FiltrationGrid
+
+    fc = delaunay_complex()
+    thresholds = np.linspace(0.0, fc.max_value, 12)
+    thresholds[0] = 1e-9
+    grid = FiltrationGrid(thresholds=thresholds, k=1, m=10)
+    ts, spectra, solved_at = counted_track(monkeypatch, fc, grid)
+
+    slices = [sublevel(fc, t) for t in thresholds]
+    sizes = [(sl.n_simplices(1), sl.n_simplices(2)) for sl in slices]
+    assert ts.slice_sizes == sizes
+    assert len(set(sizes)) < len(sizes)  # the grid repeats slices
+    assert len(solved_at) == len(set(sizes))
+    assert [thresholds[i] for i in ts.solved_steps] == solved_at
+    assert ts.solved_steps == [
+        i for i in range(len(sizes)) if i == 0 or sizes[i] != sizes[i - 1]
+    ]
+    assert len(spectra) == len(thresholds)
+    for sl, spec in zip(slices, spectra):
+        assert_same_spectrum(spec, spectrum_of_slice(sl, 1, m=10))
+
+
+@pytest.mark.parametrize(
+    "k, thresholds, sizes, solved",
+    [
+        # step 1 repeats step 0; step 3 adds only the triangle, a (k+2)-simplex
+        (0, [0.0, 0.5, 1.0, 2.0, 3.0], [(4, 0), (4, 0), (4, 3), (4, 3), (4, 4)], [0, 2, 4]),
+        # step 1 adds a (k+1)-simplex, step 2 a k-simplex
+        (1, [1.0, 2.0, 3.0], [(3, 0), (3, 1), (4, 1)], [0, 1, 2]),
+        # step 1 adds only a (k-1)-face: a zero row in B_k, so the same operator
+        (2, [2.0, 3.0], [(1, 0), (1, 0)], [0]),
+    ],
+)
+def test_track_solves_only_changed_slices(monkeypatch, k, thresholds, sizes, solved):
+    from hodgetrack import spectrum_of_slice
+    from hodgetrack.persistence import FiltrationGrid
+
+    fc = late_edge_complex()
+    grid = FiltrationGrid(thresholds=np.array(thresholds), k=k, m=10)
+    ts, spectra, solved_at = counted_track(monkeypatch, fc, grid)
+    assert ts.slice_sizes == sizes
+    assert ts.solved_steps == solved
+    assert solved_at == [thresholds[i] for i in solved]
+    for t, spec in zip(thresholds, spectra):
+        assert_same_spectrum(spec, spectrum_of_slice(sublevel(fc, t), k, m=10))
+    # matching still runs on a reused step and pairs every vector with itself
+    for step in set(range(len(thresholds))) - set(solved):
+        prev = [p.pes_prev for tr in ts.trajectories for p in tr.points if p.step == step]
+        assert prev == [pytest.approx(1.0)] * len(spectra[step])
+
+
+def test_track_logs_solved_slice_summary(caplog):
+    from hodgetrack.persistence import FiltrationGrid
+
+    fc = late_edge_complex()
+    grid = FiltrationGrid(thresholds=np.array([0.0, 0.5, 1.0, 2.0, 3.0]), k=0, m=10)
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.persistence"):
+        track(fc, grid)
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert info == ["solved 3 distinct slices for 5 steps"]
+    steps = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG
+             and r.getMessage().startswith("step ")]
+    assert len(steps) == 5
+    assert [("reused" in m) for m in steps] == [False, True, False, True, False]
+    assert steps[3] == "step 3 t=2.0 n_0=4 n_1=3 reused: 0 born, 4 matched, 0 died"
