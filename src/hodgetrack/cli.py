@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from . import __version__
 from .analysis import (
@@ -81,19 +82,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_call(path, writer) -> None:
     """Run a writer(path) against a temp file, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -106,6 +94,11 @@ def _atomic_call(path, writer) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, payload: str) -> None:
+    _atomic_call(path, lambda tmp: Path(tmp).write_text(payload))
+
 
 def _write_manifest(manifest: RunManifest, path) -> None:
     _atomic_write(path, json.dumps(asdict(manifest), indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,11 @@ the chain space: the kernel of L_k (harmonic), the image of B_k^T (gradient),
 or the image of B_{k+1} (curl). Attribution uses the boundary residuals
 r_down = |B_k v| and r_up = |B_{k+1}^T v|; a unit eigenvector satisfies
 lambda = r_down^2 + r_up^2, so exactly one residual vanishes for eigenvectors
-that lie in a single subspace.
+that lie in a single subspace. A solver may return any basis of a degenerate
+eigenspace; where such a basis mixes gradient and curl, a Rayleigh-Ritz step
+on L_up = B_{k+1} B_{k+1}^T rotates it into pure vectors, since L_up commutes
+with L_k and acts as 0 on the gradient part and as lambda on the curl part of
+a positive eigenspace.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ ZERO_TOL_COEFF = 1e-9  # harmonic cutoff, relative to max(1, lambda_max)
 TYPE_TOL_COEFF = 1e-7  # residual cutoff for gradient/curl attribution
 RESIDUAL_COEFF = 1e-8  # accepted eigenpair backward error
 CLUSTER_COEFF = 1e-8  # eigenvalue gap below which eigenspaces are merged
-SPLIT_SV_CUT = 1e-3  # singular value cut when splitting a degenerate eigenspace
 DENSE_LIMIT = 3000  # largest operator handled by the dense solver
 
 logger = logging.getLogger(__name__)
@@ -102,13 +105,10 @@ def hodge_operators(sl: ComplexSlice, k: int) -> HodgeOperators:
     return HodgeOperators(k=k, n=sl.n_simplices(k), b_down=b_down, b_up=b_up)
 
 
-def _cluster_closure(vals: np.ndarray, m: int, tol: float) -> int:
-    """Smallest cut index >= m that does not slice through an eigenvalue
-    cluster (consecutive values within tol); len(vals) when none is found."""
-    j = m
-    while j < len(vals) and vals[j] - vals[j - 1] <= tol:
-        j += 1
-    return j
+def _clusters(vals: np.ndarray, tol: float) -> list[range]:
+    """Maximal runs of ascending eigenvalues whose consecutive gaps are <= tol."""
+    ends = [*(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
+    return [range(start, stop) for start, stop in zip([0, *ends[:-1]], ends)]
 
 
 def eigendecompose(ops: HodgeOperators, m: int | None = None):
@@ -136,9 +136,6 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
         except scipy.linalg.LinAlgError as e:
             raise SolverError(f"dense eigensolver failed: {e}") from None
         lam_max = float(vals[-1])
-        cut = _cluster_closure(vals, m_eff, CLUSTER_COEFF * max(1.0, lam_max))
-        vals = vals[:cut]
-        vecs = vecs[:, :cut]
     else:
         if m_eff >= n:
             raise SolverError(
@@ -166,16 +163,16 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
             order = np.argsort(vals)
             vals = vals[order]
             vecs = vecs[:, order]
-            cut = _cluster_closure(vals, m_eff, tol_cluster)
-            if cut < len(vals) or k_try == n - 1:
-                vals = vals[:cut]
-                vecs = vecs[:, :cut]
+            # stop once the cluster holding the m-th value ends inside the batch
+            if _clusters(vals, tol_cluster)[-1].start >= m_eff or k_try == n - 1:
                 break
             k = k_try
 
     scale = max(1.0, lam_max)
+    cut = next(c.stop for c in _clusters(vals, CLUSTER_COEFF * scale) if c.stop >= m_eff)
+    vals, vecs = vals[:cut], vecs[:, :cut]
     resid = ops.laplacian @ vecs - vecs * vals[None, :]
-    worst = float(np.max(np.linalg.norm(resid, axis=0))) if m_eff else 0.0
+    worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if worst > RESIDUAL_COEFF * scale:
         raise SolverError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_COEFF * scale:.3e}"
@@ -186,12 +183,26 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
     return vals, vecs, lam_max
 
 
-def residuals(v: np.ndarray, ops: HodgeOperators) -> tuple[float, float]:
-    """(r_up, r_down) = (|B_{k+1}^T v|, |B_k v|)."""
+def residuals(v: np.ndarray, ops: HodgeOperators):
+    """(r_up, r_down) = (|B_{k+1}^T v|, |B_k v|); per column for a block."""
     v = np.asarray(v, dtype=float)
-    r_up = float(np.linalg.norm(ops.b_up.to_csc().T @ v)) if ops.b_up.n_cols else 0.0
-    r_down = float(np.linalg.norm(ops.b_down.to_csc() @ v)) if ops.b_down.n_rows else 0.0
+    r_up = np.linalg.norm(ops.b_up.to_csc().T @ v, axis=0)
+    r_down = np.linalg.norm(ops.b_down.to_csc() @ v, axis=0)
     return r_up, r_down
+
+
+def _kind(value: float, r_up: float, r_down: float, scale: float) -> str | None:
+    """Harmonic at or below the zero cutoff, otherwise the one subspace whose
+    residual vanishes; None when neither or both do. Both cutoffs are
+    relative to scale = max(1, lambda_max)."""
+    tol_type = TYPE_TOL_COEFF * scale
+    if value <= ZERO_TOL_COEFF * scale:
+        return HARMONIC
+    if r_up <= tol_type < r_down:
+        return GRADIENT
+    if r_down <= tol_type < r_up:
+        return CURL
+    return None
 
 
 def classify(
@@ -204,22 +215,17 @@ def classify(
 
     Raises ClassificationError when both residuals are large, meaning the
     vector straddles subspaces; for a degenerate eigenspace the caller should
-    first rotate the basis (see split_eigenspace).
+    first rotate the basis, as assign_types does.
     """
     scale = max(1.0, ops.lambda_max_bound() if lam_max is None else lam_max)
-    tol_zero = ZERO_TOL_COEFF * scale
-    tol_type = TYPE_TOL_COEFF * scale
-    if value <= tol_zero:
-        return HARMONIC
     r_up, r_down = residuals(vector, ops)
-    if r_up <= tol_type and r_down > tol_type:
-        return GRADIENT
-    if r_down <= tol_type and r_up > tol_type:
-        return CURL
-    raise ClassificationError(
-        f"eigenvector at lambda={value:.6e} has residuals r_up={r_up:.3e}, "
-        f"r_down={r_down:.3e}; it does not lie in a single subspace"
-    )
+    kind = _kind(value, r_up, r_down, scale)
+    if kind is None:
+        raise ClassificationError(
+            f"eigenvector at lambda={value:.6e} has residuals r_up={r_up:.3e}, "
+            f"r_down={r_down:.3e}; it does not lie in a single subspace"
+        )
+    return kind
 
 
 def hodge_project(v: np.ndarray, ops: HodgeOperators):
@@ -317,112 +323,50 @@ class TypedSpectrum:
         return {"t": float(self.t), "dim": int(self.k), "n_chain": int(self.n_chain), "pairs": pairs}
 
 
-def split_eigenspace(vecs: np.ndarray, ops: HodgeOperators) -> tuple[np.ndarray, int, int]:
-    """Rotate an orthonormal basis of a degenerate positive eigenspace so
-    every column lies in a single subspace.
-
-    A Laplacian eigenspace at lambda > 0 splits orthogonally into its
-    gradient and curl intersections, so projecting the basis onto each image
-    and reorthonormalizing recovers pure vectors. Returns (new_basis, n_grad,
-    n_curl) with gradient columns first.
-    """
-    size = vecs.shape[1]
-    grad, curl, _ = hodge_project(vecs, ops)
-    parts = []
-    dims = []
-    for block in (grad, curl):
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
-        r = int(np.sum(s > SPLIT_SV_CUT))
-        dims.append(r)
-        parts.append(u[:, :r])
-    if dims[0] + dims[1] != size:
-        raise ClassificationError(
-            f"degenerate eigenspace of dimension {size} split into "
-            f"{dims[0]} gradient + {dims[1]} curl directions"
-        )
-    basis = np.column_stack([p for p in parts if p.shape[1]]) if size else vecs
-    return basis, dims[0], dims[1]
-
-
 def assign_types(vals: np.ndarray, vecs: np.ndarray, ops: HodgeOperators, lam_max: float) -> list[TypedEigenpair]:
-    """Classify every eigenpair, rotating degenerate eigenspaces as needed."""
+    """Type every eigenpair by its residuals, rotating mixed eigenspaces.
+
+    Each pair gets its kind from one rule (see _kind). A cluster of near-equal
+    eigenvalues that holds an untyped vector spans a degenerate eigenspace
+    whose basis mixes gradient and curl. Its positive-eigenvalue columns V are
+    replaced by V W, where W holds the eigenvectors of U^T U with
+    U = B_{k+1}^T V: the Ritz values of L_up ascend from 0 (gradient) to
+    lambda (curl), so gradient columns come first. The rule then runs again on
+    the rotated columns, and a vector that is still impure raises
+    ClassificationError. Each rotation is logged at DEBUG.
+    """
     scale = max(1.0, lam_max)
-    tol_zero = ZERO_TOL_COEFF * scale
-    tol_type = TYPE_TOL_COEFF * scale
-    m = len(vals)
-    if m == 0:
-        return []
-
-    if ops.b_up.n_cols:
-        ru = np.linalg.norm(ops.b_up.to_csc().T @ vecs, axis=0)
-    else:
-        ru = np.zeros(m)
-    if ops.b_down.n_rows:
-        rd = np.linalg.norm(ops.b_down.to_csc() @ vecs, axis=0)
-    else:
-        rd = np.zeros(m)
-
-    kinds: list[str | None] = []
-    for i in range(m):
-        if vals[i] <= tol_zero:
-            kinds.append(HARMONIC)
-        elif ru[i] <= tol_type and rd[i] > tol_type:
-            kinds.append(GRADIENT)
-        elif rd[i] <= tol_type and ru[i] > tol_type:
-            kinds.append(CURL)
-        else:
-            kinds.append(None)
-
-    if any(kind is None for kind in kinds):
-        # Group positive eigenvalues into clusters separated by gaps larger
-        # than the degeneracy tolerance, then rotate clusters with mixing.
-        tol_cluster = CLUSTER_COEFF * scale
-        clusters: list[list[int]] = []
-        for i in range(m):
-            if vals[i] <= tol_zero:
-                continue
-            if clusters and vals[i] - vals[clusters[-1][-1]] <= tol_cluster:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        for cluster in clusters:
-            if not any(kinds[i] is None for i in cluster):
-                continue
-            if len(cluster) == 1:
-                i = cluster[0]
-                raise ClassificationError(
-                    f"eigenvector at lambda={vals[i]:.6e} has residuals "
-                    f"r_up={ru[i]:.3e}, r_down={rd[i]:.3e} on a 1-dimensional "
-                    f"eigenspace"
-                )
-            basis, n_grad, n_curl = split_eigenspace(vecs[:, cluster], ops)
-            vecs[:, cluster] = basis
-            for pos, i in enumerate(cluster):
-                kinds[i] = GRADIENT if pos < n_grad else CURL
-            if ops.b_up.n_cols:
-                ru[cluster] = np.linalg.norm(ops.b_up.to_csc().T @ basis, axis=0)
-            else:
-                ru[cluster] = 0.0
-            if ops.b_down.n_rows:
-                rd[cluster] = np.linalg.norm(ops.b_down.to_csc() @ basis, axis=0)
-            else:
-                rd[cluster] = 0.0
+    r_up, r_down = residuals(vecs, ops)
+    kinds = [_kind(*x, scale) for x in zip(vals, r_up, r_down)]
+    for cluster in _clusters(vals, CLUSTER_COEFF * scale):
+        if all(kinds[i] for i in cluster):
+            continue
+        cols = [i for i in cluster if kinds[i] != HARMONIC]
+        u = ops.b_up.to_csc().T @ vecs[:, cols]
+        vecs[:, cols] = vecs[:, cols] @ np.linalg.eigh(u.T @ u)[1]
+        r_up[cols], r_down[cols] = residuals(vecs[:, cols], ops)
+        for i in cols:
+            kinds[i] = _kind(vals[i], r_up[i], r_down[i], scale)
+        rotated = [kinds[i] for i in cols]
+        logger.debug(
+            "rotated cluster at lambda=%.6e: %d vectors, %d gradient, %d curl",
+            vals[cols[0]], len(cols), rotated.count(GRADIENT), rotated.count(CURL),
+        )
 
     pairs = []
-    for i in range(m):
-        kind = kinds[i]
+    for i, kind in enumerate(kinds):
         if kind is None:
             raise ClassificationError(
-                f"eigenvector at lambda={vals[i]:.6e} left unclassified"
+                f"eigenvector at lambda={vals[i]:.6e} has residuals r_up={r_up[i]:.3e}, "
+                f"r_down={r_down[i]:.3e} after rotating its eigenspace"
             )
-        v = canonical_sign(vecs[:, i].copy())
         pairs.append(
             TypedEigenpair(
                 value=float(vals[i]),
-                vector=v,
+                vector=canonical_sign(vecs[:, i].copy()),
                 kind=kind,
-                residual_up=float(ru[i]),
-                residual_down=float(rd[i]),
+                residual_up=float(r_up[i]),
+                residual_down=float(r_down[i]),
             )
         )
     return pairs
@@ -545,8 +489,9 @@ def spectrum_of_slice(
     vals, vecs, lam_max = eigendecompose(ops, m=m)
     pairs = assign_types(vals, vecs, ops, lam_max)
     if m is not None and len(pairs) > m:
-        # the solver widens a budget that lands inside an eigenvalue cluster;
-        # rotation has made every vector pure, so cutting back is safe now
+        # the solver widens a budget that lands inside an eigenvalue cluster so
+        # the Ritz rotation sees the whole eigenspace; every vector is pure
+        # now, so cutting back to m keeps each kept vector's type
         pairs = pairs[:m]
     if validate:
         expected = harmonic_dimension(ops)

@@ -22,7 +22,7 @@ from hodgetrack import (
     sublevel,
 )
 from hodgetrack.complexes import SparseSignMatrix
-from hodgetrack.spectral import canonical_sign, rank_of, split_eigenspace
+from hodgetrack.spectral import assign_types, canonical_sign, rank_of
 
 from conftest import cycle_complex, filled_triangle, hollow_triangle, path_complex
 from oracles import cycle_spectrum, integer_rank
@@ -128,13 +128,24 @@ def test_split_degenerate_eigenspace():
     ops = ops_at(filled_triangle(), 1.0, 1)
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # random rotation of the lambda=3 space
-    basis, n_grad, n_curl = split_eigenspace(q, ops)
-    assert (n_grad, n_curl) == (2, 1)
+    pairs = assign_types(np.full(3, 3.0), q, ops, 3.0)
+    assert [p.kind for p in pairs] == ["gradient", "gradient", "curl"]
     # columns orthonormal and pure
+    basis = np.column_stack([p.vector for p in pairs])
     assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-9)
-    for i in range(2):
-        assert classify(3.0, basis[:, i], ops) == "gradient"
-    assert classify(3.0, basis[:, 2], ops) == "curl"
+    for p in pairs:
+        assert classify(3.0, p.vector, ops) == p.kind
+
+
+def test_rotation_logged_per_cluster(caplog):
+    ops = ops_at(filled_triangle(), 1.0, 1)
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.spectral"):
+        assign_types(np.full(3, 3.0), np.eye(3), ops, 3.0)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "rotated cluster at lambda=3.000000e+00: 3 vectors, 2 gradient, 1 curl"
+    )
 
 
 def test_classification_total_on_random_complexes(rng):
@@ -356,6 +367,47 @@ def test_budget_clipped_after_widening(monkeypatch):
     sparse = spectrum_at(fc, 1.0, 1, m=3)
     assert len(sparse) == 3 == len(dense)
     np.testing.assert_allclose(sparse.values(), dense.values(), atol=1e-8)
+
+
+def four_triangles_and_pentagon() -> FilteredComplex:
+    """Four disjoint filled triangles (L_1 = 3I on their 12 edges: 8 gradient
+    and 4 curl directions) beside a hollow 5-cycle, whose L_1 eigenvalues
+    0, 1.38, 1.38, 3.62, 3.62 bound the lambda=3 cluster on both sides so the
+    iterative path, which returns at most n-1 pairs, can close it."""
+    simplices = [(i,) for i in range(17)]
+    for b in range(0, 12, 3):
+        simplices += [(b, b + 1), (b, b + 2), (b + 1, b + 2), (b, b + 1, b + 2)]
+    simplices += [tuple(sorted((12 + i, 12 + (i + 1) % 5))) for i in range(5)]
+    return FilteredComplex.from_simplices(simplices, [0.0] * len(simplices))
+
+
+@pytest.mark.parametrize("dense_limit", [spectral.DENSE_LIMIT, 4])
+def test_budget_inside_mixed_cluster(monkeypatch, dense_limit):
+    fc = four_triangles_and_pentagon()
+    ops = ops_at(fc, 0.0, 1)
+    full = spectrum_at(fc, 0.0, 1)
+    tol_type = spectral.TYPE_TOL_COEFF * max(1.0, full.lam_max)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+    spec = spectrum_at(fc, 0.0, 1, m=5)  # the 5th value lies in the lambda=3 cluster
+    assert len(spec) == 5
+    np.testing.assert_allclose(spec.values(), full.values()[:5], atol=1e-8)
+    assert spec.values()[-1] == pytest.approx(3.0)
+    for p in spec.pairs:
+        off = {"gradient": p.residual_up, "curl": p.residual_down}.get(p.kind, 0.0)
+        assert off <= tol_type
+
+    cluster = [p for p in full.pairs if abs(p.value - 3.0) < 1e-9]
+    assert len(cluster) == 12
+    # the exact projectors onto the triangles' gradient and curl spaces; each
+    # triangle's boundary column has norm sqrt(3), and the pentagon has no triangle
+    b2 = ops.b_up.to_dense().astype(float)
+    proj_curl = b2 @ b2.T / 3.0
+    proj_grad = np.zeros_like(proj_curl)
+    proj_grad[:12, :12] = np.eye(12) - proj_curl[:12, :12]
+    for kind, proj, dim in (("gradient", proj_grad, 8), ("curl", proj_curl, 4)):
+        v = np.column_stack([p.vector for p in cluster if p.kind == kind])
+        assert v.shape[1] == dim
+        assert np.max(np.abs(v @ v.T - proj)) <= 1e-9
 
 
 def test_negative_definite_rejected():
