@@ -8,10 +8,14 @@ coordinates. Near-degenerate predicate values (within a relative band of
 paraboloid lifting: lower point ids are lifted infinitesimally lower, which in
 particular breaks cocircular ties toward the diagonal through the smallest
 vertex id.
+
+The triangles live in numpy arrays: an insertion is one vectorised scan of
+all of them plus Python work on its cavity, so the triangulation is quadratic.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +29,8 @@ from .errors import (
     InputError,
     ParseError,
 )
+
+logger = logging.getLogger(__name__)
 
 EPS_BAND = 1e-12  # relative half-width of the predicate tie band
 
@@ -166,24 +172,35 @@ def _incircle_parts(a, b, c, p):
     return det, mag
 
 
+# slot states of _Triangulator: 1 + the number of ideal vertices, or dead
+_DEAD, _FINITE, _ONE_IDEAL, _MULTI_IDEAL = 0, 1, 2, 3
+
+
 class _Triangulator:
     """Incremental Delaunay of a fixed 2D point set.
 
-    Triangles are stored as ccw vertex triples; ids -1, -2, -3 denote the
-    three vertices at infinity (directions IDEAL_DIRS[0..2]).
+    Triangles are ccw vertex triples; ids -1, -2, -3 denote the three
+    vertices at infinity (directions IDEAL_DIRS[0..2]). Slot i of the growable
+    arrays holds triangle verts[i], its state and, in column xy[:, i], the
+    coordinates of its finite vertices a, b, c (of a one-ideal triangle, its
+    finite edge a -> b as `_incircle` rotates it). Each insertion scans all
+    slots once, kills the cavity's slots and appends the new triangles, so
+    the whole triangulation stays quadratic.
     """
 
     def __init__(self, pts: np.ndarray):
         self.pts = pts
-        self.tris: list[tuple[int, int, int]] = [(-1, -2, -3)]
+        self.verts = np.array([(-1, -2, -3)], dtype=np.int64)
+        self.state = np.array([_MULTI_IDEAL], dtype=np.int8)
+        self.xy = np.zeros((6, 1))  # ax, ay, bx, by, cx, cy
+        self.size = 1
+        self.ties = 0  # in-band evaluations settled by the scalar predicates
+        self.compactions = 0
 
     # id -> ideal direction index
     @staticmethod
     def _ideal(v: int) -> int:
         return -v - 1
-
-    def _point(self, v: int):
-        return self.pts[v]
 
     # -- tie-broken predicates ----------------------------------------
 
@@ -284,64 +301,77 @@ class _Triangulator:
 
     def insert(self, pid: int) -> None:
         p = self.pts[pid]
-        finite_idx = [i for i, t in enumerate(self.tris) if t[0] >= 0 and t[1] >= 0 and t[2] >= 0]
-        bad = np.zeros(len(self.tris), dtype=bool)
+        px, py = p
+        state, xy = self.state[:self.size], self.xy[:, :self.size]
+        # _incircle_parts on every slot; only finite slots use the result
+        ax, ay, bx, by, cx, cy = xy - np.concatenate((p, p, p))[:, None]
+        za = ax ** 2 + ay ** 2
+        zb = bx ** 2 + by ** 2
+        zc = cx ** 2 + cy ** 2
+        byzc, cyzb, bxzc, cxzb, bxcy, cxby = by * zc, cy * zb, bx * zc, cx * zb, bx * cy, cx * by
+        det = ax * (byzc - cyzb) - ay * (bxzc - cxzb) + za * (bxcy - cxby)
+        mag = (
+            np.abs(ax) * (np.abs(byzc) + np.abs(cyzb))
+            + np.abs(ay) * (np.abs(bxzc) + np.abs(cxzb))
+            + za * (np.abs(bxcy) + np.abs(cxby))
+        )
+        band = EPS_BAND * mag
+        finite = state == _FINITE
+        bad = finite & (det > band)
+        ties = np.flatnonzero(finite & (np.abs(det) <= band))
+        # orient_sign(a, b, p) on the finite edge of each one-ideal slot
+        one = np.flatnonzero(state == _ONE_IDEAL)
+        ex, ey, fx, fy = xy[:4, one]
+        t1 = (fx - ex) * (py - ey)
+        t2 = (fy - ey) * (px - ex)
+        odet = t1 - t2
+        oband = EPS_BAND * (np.abs(t1) + np.abs(t2))
+        bad[one] = odet > oband
+        one_ties = one[np.abs(odet) <= oband]
+        self.ties += len(ties) + len(one_ties)
+        scalar = np.concatenate([ties, one_ties, np.flatnonzero(state == _MULTI_IDEAL)])
+        for i, tri in zip(scalar.tolist(), self.verts[scalar].tolist()):
+            bad[i] = self._incircle(tuple(tri), pid, p)
 
-        if finite_idx:
-            arr = np.asarray([self.tris[i] for i in finite_idx], dtype=np.int64)
-            pa = self.pts[arr[:, 0]] - p
-            pb = self.pts[arr[:, 1]] - p
-            pc = self.pts[arr[:, 2]] - p
-            za = pa[:, 0] ** 2 + pa[:, 1] ** 2
-            zb = pb[:, 0] ** 2 + pb[:, 1] ** 2
-            zc = pc[:, 0] ** 2 + pc[:, 1] ** 2
-            m1 = pb[:, 1] * zc - pc[:, 1] * zb
-            m2 = pb[:, 0] * zc - pc[:, 0] * zb
-            m3 = pb[:, 0] * pc[:, 1] - pc[:, 0] * pb[:, 1]
-            det = pa[:, 0] * m1 - pa[:, 1] * m2 + za * m3
-            mag = (
-                np.abs(pa[:, 0]) * (np.abs(pb[:, 1] * zc) + np.abs(pc[:, 1] * zb))
-                + np.abs(pa[:, 1]) * (np.abs(pb[:, 0] * zc) + np.abs(pc[:, 0] * zb))
-                + za * (np.abs(pb[:, 0] * pc[:, 1]) + np.abs(pc[:, 0] * pb[:, 1]))
-            )
-            band = EPS_BAND * mag
-            inside = det > band
-            ties = np.flatnonzero(np.abs(det) <= band)
-            for j in ties:
-                inside[j] = self._incircle_finite(self.tris[finite_idx[j]], pid, p)
-            for j, i in enumerate(finite_idx):
-                bad[i] = inside[j]
+        cavity_idx = np.flatnonzero(bad)
+        if not len(cavity_idx):
+            raise DegeneracyError(f"point {pid} could not be located in the triangulation")
+        cavity = self.verts[cavity_idx].tolist()
+        state[cavity_idx] = _DEAD
+        edges = [e for a, b, c in cavity for e in ((a, b), (b, c), (c, a))]
+        dead_edges = set(edges)
+        self._append([(u, v, pid) for u, v in edges if (v, u) not in dead_edges])
 
-        for i, t in enumerate(self.tris):
-            if t[0] < 0 or t[1] < 0 or t[2] < 0:
-                bad[i] = self._incircle(t, pid, p)
+    def _append(self, tris: list[tuple[int, int, int]]) -> None:
+        """Store triangles (u, v, w) whose last vertex is finite."""
+        k = len(tris)
+        if self.size + k > len(self.state):
+            self._compact(k)
+        coords = []
+        for u, v, w in tris:
+            a, b = (v, w) if u < 0 else (w, u) if v < 0 else (u, v)
+            coords.append((a if a >= 0 else w, b, w))  # unused entries repeat w
+        s, self.size = self.size, self.size + k
+        self.verts[s:s + k] = tris
+        self.state[s:s + k] = [_FINITE + (u < 0) + (v < 0) for u, v, _ in tris]
+        self.xy[:, s:s + k] = self.pts[coords].reshape(k, 6).T
 
-        if not bad.any():
-            raise DegeneracyError(
-                f"point {pid} could not be located in the triangulation"
-            )
-
-        dead_edges = set()
-        for i in np.flatnonzero(bad):
-            a, b, c = self.tris[i]
-            dead_edges.update(((a, b), (b, c), (c, a)))
-
-        survivors = [t for i, t in enumerate(self.tris) if not bad[i]]
-        new_tris = []
-        for i in np.flatnonzero(bad):
-            a, b, c = self.tris[i]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) not in dead_edges:
-                    new_tris.append((u, v, pid))
-        self.tris = survivors + new_tris
+    def _compact(self, extra: int) -> None:
+        """Move the live slots to the front, growing so that half stays free."""
+        live = np.flatnonzero(self.state[:self.size] != _DEAD)
+        cap = max(len(self.state), 2 * (len(live) + extra))
+        old = self.verts[live], self.state[live], self.xy[:, live]
+        self.verts = np.zeros((cap, 3), dtype=np.int64)
+        self.state = np.zeros(cap, dtype=np.int8)
+        self.xy = np.zeros((6, cap))
+        self.size = m = len(live)
+        self.verts[:m], self.state[:m], self.xy[:, :m] = old
+        self.compactions += 1
 
     def finite_triangles(self) -> list[tuple[int, int, int]]:
-        out = {
-            tuple(sorted(t))
-            for t in self.tris
-            if t[0] >= 0 and t[1] >= 0 and t[2] >= 0
-        }
-        return sorted(out)
+        n = self.size
+        tris = np.sort(self.verts[:n][self.state[:n] == _FINITE], axis=1)
+        return sorted(set(map(tuple, tris.tolist())))
 
 
 @dataclass(frozen=True)
@@ -381,6 +411,10 @@ def delaunay_2d(cloud: PointCloud) -> Triangulation:
         raise DegeneracyError(f"point {missing} is not covered by any triangle")
 
     edges = sorted({(t[i], t[j]) for t in triangles for i, j in ((0, 1), (0, 2), (1, 2))})
+    logger.debug(
+        "delaunay_2d: %d points, %d triangles, %d tie-band evaluations, %d compactions",
+        n, len(triangles), tr.ties, tr.compactions,
+    )
     return Triangulation(points=pts, edges=edges, triangles=triangles)
 
 

@@ -8,7 +8,6 @@ package under test.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,10 +52,22 @@ def integer_rank(mat: np.ndarray) -> int:
     return max(rank_mod_p(mat, p) for p in PRIMES)
 
 
+def dyadic_integers(points: np.ndarray) -> list:
+    """Every coordinate times one common power of two, as exact Python ints.
+
+    A float is num/den with den a power of two, so scaling by the largest den
+    makes every coordinate an integer and leaves every sign unchanged.
+    """
+    ratios = [float(c).as_integer_ratio() for c in np.asarray(points, dtype=float).ravel()]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    return list(zip(ints[0::2], ints[1::2]))
+
+
 def in_circle_violations(points: np.ndarray, triangles) -> list:
     """All (triangle, point) pairs where the point sits strictly inside the
-    triangle's circumcircle. Exact rational arithmetic, no tolerances."""
-    pts = [(Fraction(float(x)), Fraction(float(y))) for x, y in np.asarray(points)]
+    triangle's circumcircle. Exact integer arithmetic, no tolerances."""
+    pts = dyadic_integers(points)
     bad = []
     for tri in triangles:
         a, b, c = (pts[v] for v in tri)

@@ -40,3 +40,18 @@ def test_traced_spans_resolve():
     for name in ("spectral.assign_types", "spectral.eigendecompose", "persistence.pem"):
         assert metrics[f"{name}.calls"] >= 1
     assert not hasattr(hodgetrack.track, "__wrapped__")  # uninstall restored the original
+
+
+def test_traced_triangulate_counts_geometry(tmp_path):
+    cloud = tmp_path / "cloud.csv"
+    hodgetrack.save_point_cloud(np.random.default_rng(3).uniform(-1.0, 1.0, size=(30, 2)), cloud)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert hodgetrack.cli.main(["triangulate", str(cloud), "--out", str(tmp_path / "c.json")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    for name in ("geometry.delaunay_2d", "geometry.filtration_values", "cli.triangulate"):
+        assert metrics[f"{name}.calls"] == 1
+    assert metrics["geometry.points"] == 30

@@ -1,7 +1,13 @@
+import hashlib
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from hodgetrack import (
     DegeneracyError,
@@ -12,6 +18,7 @@ from hodgetrack import (
     circumradius,
     delaunay_2d,
     filtration_values,
+    four_disks,
     load_point_cloud,
     save_point_cloud,
 )
@@ -147,10 +154,14 @@ def test_delaunay_empty_circumcircles_oracle(rng):
         assert in_circle_violations(pts, tri.triangles) == []
 
 
+def integer_grid(m: int) -> np.ndarray:
+    xs, ys = np.meshgrid(np.arange(float(m)), np.arange(float(m)))
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
 def test_delaunay_grid_with_ties():
     # 4x4 integer grid: every unit square is cocircular
-    xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0))
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
+    pts = integer_grid(4)
     tri = delaunay_2d(PointCloud(pts))
     assert in_circle_violations(pts, tri.triangles) == []
     # Euler characteristic of a triangulated disk
@@ -172,6 +183,74 @@ def test_delaunay_triangles_nondegenerate(rng):
     tri = delaunay_2d(PointCloud(pts))
     for a, b, c in tri.triangles:
         assert orient_sign(pts[a], pts[b], pts[c]) != 0
+
+
+def permuted_grid12() -> np.ndarray:
+    grid = integer_grid(12)
+    return grid[np.random.default_rng(0).permutation(len(grid))]
+
+
+# sha256 of repr(delaunay_2d(...).triangles). Every downstream file depends on
+# these lists, so a change to how triangles are stored or scanned must leave
+# them alone. Only inputs in general position or with exact ties are pinned:
+# near-tie inputs (within the 1e-12 band of cocircular) are left free for
+# exact predicates to change.
+PINNED_TRIANGLES = {
+    "four_disks_400_seed11": (
+        lambda: four_disks(400, seed=11)[0],
+        "28055f0092ba2426b1f93bcb77843a60ebab6537aedaf946bd06eb7f4f5f8d35",
+    ),
+    "four_disks_400_seed5": (
+        lambda: four_disks(400, seed=5)[0],
+        "1cf4dbdfba18df048d8d44400be7381b0e8cd0e4456c5babbe34801dd3014e77",
+    ),
+    "four_disks_1000_seed11": (
+        lambda: four_disks(1000, seed=11)[0],
+        "f232d86766a1e16e99f878b10762ffe638d50a0dca79e4609fe406ccba719cae",
+    ),
+    "grid12": (
+        lambda: integer_grid(12),
+        "c80118502a4dbb78d36a02e5fcb534d323cec730ea9f21294f51bf5f3c3526e8",
+    ),
+    "grid12_permuted": (
+        permuted_grid12,
+        "eedf7cc2de3c212d1e01f341724c50963475912f668f8977c1b28e52fbad166a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRIANGLES))
+def test_delaunay_triangles_pinned(name):
+    cloud, digest = PINNED_TRIANGLES[name]
+    tri = delaunay_2d(PointCloud(cloud()))
+    assert hashlib.sha256(repr(tri.triangles).encode()).hexdigest() == digest
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300))
+def test_delaunay_matches_qhull_on_random_clouds(seed, n):
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+    tri = delaunay_2d(PointCloud(pts))
+    qhull = sorted(tuple(sorted(int(v) for v in row)) for row in Delaunay(pts).simplices)
+    assert tri.triangles == qhull
+    assert in_circle_violations(pts, tri.triangles) == []
+
+
+def logged_ties(pts: np.ndarray, caplog) -> int:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
+        tri = delaunay_2d(PointCloud(pts))
+    (record,) = caplog.records
+    msg = record.getMessage()
+    assert f"{len(pts)} points, {len(tri.triangles)} triangles" in msg
+    assert re.search(r"\d+ compactions", msg)
+    return int(re.search(r"(\d+) tie-band evaluations", msg).group(1))
+
+
+def test_delaunay_logs_tie_band_evaluations(rng, caplog):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert logged_ties(square, caplog) >= 1
+    assert logged_ties(random_cloud(rng, 100), caplog) == 0
 
 
 # -- filtration --------------------------------------------------------------
