@@ -185,7 +185,6 @@ def hodge_spectral_clustering(
     c: int,
     mode: str = CURL,
     seed: int = 0,
-    validate: bool = True,
 ) -> ClusterAssignment:
     """Cluster the slice's n-simplices by their coordinates in the h smallest
     eigenvectors of the chosen kind ('harmonic', 'gradient', 'curl', 'total')."""
@@ -195,7 +194,7 @@ def hodge_spectral_clustering(
         raise InputError(f"embedding width must be positive, got {h}")
     if c < 2:
         raise InputError(f"need at least 2 clusters, got {c}")
-    spec = spectrum_of_slice(sl, n, m=None, validate=validate)
+    spec = spectrum_of_slice(sl, n, m=None)
     pool = spec.pairs if mode == "total" else spec.select(mode)
     if len(pool) < h:
         raise InsufficientSpectrumError(
@@ -249,7 +248,7 @@ class HgcResult:
     points: np.ndarray | None = None
 
 
-def hgc_values(sl: ComplexSlice, n: int, count: int, validate: bool = True) -> HgcResult:
+def hgc_values(sl: ComplexSlice, n: int, count: int) -> HgcResult:
     """Largest per-simplex magnitude within each subspace group of the count
     smallest eigenpairs, normalized by the overall largest magnitude.
 
@@ -257,7 +256,7 @@ def hgc_values(sl: ComplexSlice, n: int, count: int, validate: bool = True) -> H
     """
     if count < 1:
         raise InputError(f"eigenpair count must be positive, got {count}")
-    spec = spectrum_of_slice(sl, n, m=count, validate=validate)
+    spec = spectrum_of_slice(sl, n, m=count)
     if len(spec.pairs) < count:
         raise InsufficientSpectrumError(
             f"{count} eigenpairs requested but only {len(spec.pairs)} exist"

@@ -100,8 +100,36 @@ def _atomic_write(path, payload: str) -> None:
     _atomic_call(path, lambda tmp: Path(tmp).write_text(payload))
 
 
-def _write_manifest(manifest: RunManifest, path) -> None:
-    _atomic_write(path, json.dumps(asdict(manifest), indent=1, sort_keys=True) + "\n")
+def _export(prefix: str, formats, export, result) -> list[str]:
+    """Write PREFIX.<fmt> for each format through export(result, path, fmt)."""
+    outputs = []
+    for fmt in formats:
+        out = f"{prefix}.{fmt}"
+        _atomic_call(out, lambda tmp, fmt=fmt: export(result, tmp, fmt))
+        outputs.append(out)
+    return outputs
+
+
+def _write_manifest(args, started: float, parameters: dict, outputs: list[str],
+                    tolerances: dict = BASE_TOLERANCES, **extra) -> None:
+    """Write PREFIX.manifest.json (or OUT.manifest.json) for this command.
+
+    The input file named in parameters, if any, is hashed; extra fills the
+    remaining RunManifest fields (rng, diagnostics).
+    """
+    manifest = RunManifest(
+        command=args.command,
+        parameters=parameters,
+        tolerances=tolerances,
+        version=__version__,
+        input_sha256=_sha256(parameters["input"]) if "input" in parameters else None,
+        outputs=outputs,
+        duration_s=time.monotonic() - started,
+        **extra,
+    )
+    base = args.out_prefix if hasattr(args, "out_prefix") else args.out
+    payload = json.dumps(asdict(manifest), indent=1, sort_keys=True) + "\n"
+    _atomic_write(f"{base}.manifest.json", payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,17 +210,8 @@ def cmd_generate(args) -> int:
     started = time.monotonic()
     points = generate(args.preset, args.n, args.seed)
     _atomic_call(args.out, lambda tmp: save_point_cloud(points, tmp))
-    manifest = RunManifest(
-        command="generate",
-        parameters={"preset": args.preset, "n": args.n, "seed": args.seed},
-        tolerances={},
-        version=__version__,
-        input_sha256=None,
-        outputs=[args.out],
-        rng=GENERATOR_NAME,
-        duration_s=time.monotonic() - started,
-    )
-    _write_manifest(manifest, args.out + ".manifest.json")
+    _write_manifest(args, started, {"preset": args.preset, "n": args.n, "seed": args.seed},
+                    [args.out], tolerances={}, rng=GENERATOR_NAME)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0
 
@@ -202,16 +221,8 @@ def cmd_triangulate(args) -> int:
     cloud = load_point_cloud(args.input)
     fc = filtration_values(delaunay_2d(cloud))
     _atomic_call(args.out, lambda tmp: write_complex_json(fc, tmp))
-    manifest = RunManifest(
-        command="triangulate",
-        parameters={"input": args.input},
-        tolerances={"predicate_band": EPS_BAND},
-        version=__version__,
-        input_sha256=_sha256(args.input),
-        outputs=[args.out],
-        duration_s=time.monotonic() - started,
-    )
-    _write_manifest(manifest, args.out + ".manifest.json")
+    _write_manifest(args, started, {"input": args.input}, [args.out],
+                    tolerances={"predicate_band": EPS_BAND})
     counts = ", ".join(f"{fc.n_simplices(k)} dim-{k}" for k in fc.dims())
     print(f"wrote {args.out} ({counts})")
     return 0
@@ -234,17 +245,10 @@ def cmd_spectrum(args) -> int:
         sort_keys=True,
     ) + "\n"
     _atomic_write(args.out, payload)
-    manifest = RunManifest(
-        command="spectrum",
-        parameters={"input": args.input, "t": t, "dim": args.dim, "num": args.num,
-                    "include_vectors": bool(args.include_vectors)},
-        tolerances=BASE_TOLERANCES,
-        version=__version__,
-        input_sha256=_sha256(args.input),
-        outputs=[args.out],
-        duration_s=time.monotonic() - started,
-    )
-    _write_manifest(manifest, args.out + ".manifest.json")
+    _write_manifest(args, started,
+                    {"input": args.input, "t": t, "dim": args.dim, "num": args.num,
+                     "include_vectors": bool(args.include_vectors)},
+                    [args.out])
     counts = spec.counts()
     print(
         f"wrote {args.out} ({len(spec)} pairs: {counts['harmonic']} harmonic, "
@@ -258,24 +262,13 @@ def cmd_track(args) -> int:
     fc = import_complex(args.input)
     grid = build_grid(fc, args.dim, m=args.num, steps=args.steps)
     ts = track(fc, grid, theta=args.theta)
-    outputs = []
-    for fmt in ("csv", "json", "svg"):
-        out = f"{args.out_prefix}.{fmt}"
-        _atomic_call(out, lambda tmp, fmt=fmt: export_diagram(ts, tmp, fmt))
-        outputs.append(out)
-    manifest = RunManifest(
-        command="track",
-        parameters={"input": args.input, "dim": args.dim, "num": args.num,
-                    "steps": args.steps, "theta": args.theta,
-                    "grid": [float(x) for x in grid.thresholds]},
-        tolerances=dict(BASE_TOLERANCES, theta=args.theta),
-        version=__version__,
-        input_sha256=_sha256(args.input),
-        outputs=outputs,
-        duration_s=time.monotonic() - started,
-        diagnostics={"solved_steps": ts.solved_steps, "slice_sizes": ts.slice_sizes},
-    )
-    _write_manifest(manifest, f"{args.out_prefix}.manifest.json")
+    outputs = _export(args.out_prefix, ("csv", "json", "svg"), export_diagram, ts)
+    _write_manifest(args, started,
+                    {"input": args.input, "dim": args.dim, "num": args.num,
+                     "steps": args.steps, "theta": args.theta,
+                     "grid": [float(x) for x in grid.thresholds]},
+                    outputs, tolerances=dict(BASE_TOLERANCES, theta=args.theta),
+                    diagnostics={"solved_steps": ts.solved_steps, "slice_sizes": ts.slice_sizes})
     print(
         f"wrote {', '.join(outputs)} ({len(ts)} trajectories over "
         f"{ts.n_steps} steps)"
@@ -290,30 +283,19 @@ def cmd_cluster(args) -> int:
     assign = hodge_spectral_clustering(
         sl, args.dim, args.num_eigvecs, args.clusters, mode=args.mode, seed=args.seed
     )
-    outputs = []
-    for fmt in ("csv", "svg"):
-        out = f"{args.out_prefix}.{fmt}"
-        _atomic_call(out, lambda tmp, fmt=fmt: export_analysis(assign, tmp, fmt))
-        outputs.append(out)
+    outputs = _export(args.out_prefix, ("csv", "svg"), export_analysis, assign)
     if args.nodes:
         vertex_ids, labels = node_clustering(assign, sl)
         out = f"{args.out_prefix}_nodes.csv"
         _atomic_write(out, node_labels_to_csv(vertex_ids, labels))
         outputs.append(out)
-    manifest = RunManifest(
-        command="cluster",
-        parameters={"input": args.input, "t": t, "dim": args.dim,
-                    "mode": args.mode, "num_eigvecs": args.num_eigvecs,
-                    "clusters": args.clusters, "seed": args.seed,
-                    "nodes": bool(args.nodes)},
-        tolerances=dict(BASE_TOLERANCES, embed_zero_coeff=EMBED_ZERO_COEFF),
-        version=__version__,
-        input_sha256=_sha256(args.input),
-        outputs=outputs,
-        rng=GENERATOR_NAME,
-        duration_s=time.monotonic() - started,
-    )
-    _write_manifest(manifest, f"{args.out_prefix}.manifest.json")
+    _write_manifest(args, started,
+                    {"input": args.input, "t": t, "dim": args.dim,
+                     "mode": args.mode, "num_eigvecs": args.num_eigvecs,
+                     "clusters": args.clusters, "seed": args.seed,
+                     "nodes": bool(args.nodes)},
+                    outputs, tolerances=dict(BASE_TOLERANCES, embed_zero_coeff=EMBED_ZERO_COEFF),
+                    rng=GENERATOR_NAME)
     print(f"wrote {', '.join(outputs)} (inertia {assign.inertia:.6g})")
     return 0
 
@@ -323,21 +305,9 @@ def cmd_hgc(args) -> int:
     fc, t = _load_with_default_t(args)
     sl = sublevel(fc, t)
     result = hgc_values(sl, args.dim, args.num)
-    outputs = []
-    for fmt in ("csv", "svg"):
-        out = f"{args.out_prefix}.{fmt}"
-        _atomic_call(out, lambda tmp, fmt=fmt: export_analysis(result, tmp, fmt))
-        outputs.append(out)
-    manifest = RunManifest(
-        command="hgc",
-        parameters={"input": args.input, "t": t, "dim": args.dim, "num": args.num},
-        tolerances=BASE_TOLERANCES,
-        version=__version__,
-        input_sha256=_sha256(args.input),
-        outputs=outputs,
-        duration_s=time.monotonic() - started,
-    )
-    _write_manifest(manifest, f"{args.out_prefix}.manifest.json")
+    outputs = _export(args.out_prefix, ("csv", "svg"), export_analysis, result)
+    _write_manifest(args, started,
+                    {"input": args.input, "t": t, "dim": args.dim, "num": args.num}, outputs)
     print(f"wrote {', '.join(outputs)}")
     return 0
 

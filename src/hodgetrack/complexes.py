@@ -1,16 +1,19 @@
 """Filtered simplicial complexes, sublevel slices, and boundary operators.
 
-Simplices are tuples of ascending vertex ids. Within each dimension the
-simplex list is kept in lexicographic order and a parallel float array holds
-the filtration values, so a sublevel slice is just an index array per
-dimension. All orientation bookkeeping uses the ascending-vertex convention,
-which makes inclusion maps between slices sign-free.
+Each dimension k is an n_k x (k+1) int64 array of ascending vertex ids, rows
+in lexicographic order, with a parallel float array of filtration values, so a
+sublevel slice is just an index array per dimension. Validation finds every
+simplex's faces once and keeps them as a face table of row indices into
+dimension k-1; a slice's boundary matrix is that table restricted to the
+slice's rows and renumbered. `simplices(k)` hands the rows out as tuples. All
+orientation bookkeeping uses the ascending-vertex convention, which makes
+inclusion maps between slices sign-free.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,26 +31,63 @@ from .errors import (
 Simplex = tuple[int, ...]
 
 
+def _tuples(rows: np.ndarray) -> list[Simplex]:
+    return list(map(tuple, rows.tolist()))
+
+
+def _find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row index of each query in a lexicographically sorted, duplicate-free
+    table, or -1 where it is absent.
+
+    One stable lexsort merges table and queries, so a table row sorts ahead of
+    the queries equal to it and each query takes the index of its group's first
+    row. Only comparisons are made, so any int64 vertex ids are exact.
+    """
+    both = np.concatenate([table, queries])
+    order = np.lexsort(both[:, ::-1].T)
+    ranked = both[order]
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    leader = order[starts][np.cumsum(starts) - 1]
+    is_query = order >= len(table)
+    out = np.empty(len(queries), dtype=np.int64)
+    out[order[is_query] - len(table)] = np.where(leader < len(table), leader, -1)[is_query]
+    return out
+
+
 class FilteredComplex:
     """A finite simplicial complex with one filtration value per simplex.
 
-    Invariants enforced at construction: closed under faces, filtration value
-    of a simplex is at least the value of every face, vertices carry value 0,
-    simplex lists are duplicate-free and lexicographically sorted.
+    Invariants enforced at construction: rows sorted and duplicate-free,
+    closed under faces, filtration value of a simplex is at least the value of
+    every face, vertices carry value 0. The face table `_faces[k]` has entry
+    (j, c) = row in dimension k-1 of simplex j's face omitting v_(k-c); each
+    of its rows ascends.
     """
 
     def __init__(
         self,
-        simplices_by_dim: dict[int, list[Simplex]],
-        values_by_dim: dict[int, np.ndarray],
+        simplices_by_dim: dict[int, Sequence[Sequence[int]] | np.ndarray],
+        values_by_dim: dict[int, Sequence[float] | np.ndarray],
         points: np.ndarray | None = None,
-        validate: bool = True,
     ):
-        self._simplices = simplices_by_dim
-        self._values = values_by_dim
+        self._simplices: dict[int, np.ndarray] = {}
+        self._values: dict[int, np.ndarray] = {}
+        for k in sorted(simplices_by_dim):
+            rows = np.asarray(simplices_by_dim[k], dtype=np.int64).reshape(-1, k + 1)
+            vals = np.asarray(values_by_dim[k], dtype=float)
+            if len(rows) != len(vals):
+                raise InputError(f"dimension {k}: {len(rows)} simplices but {len(vals)} values")
+            order = np.lexsort(rows[:, ::-1].T)
+            rows, vals = rows[order], vals[order]
+            dup = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
+            if len(dup):
+                raise InputError(f"duplicate simplex {rows[dup[0]].tolist()} in input")
+            self._simplices[k] = rows
+            self._values[k] = vals
         self.points = points
-        if validate:
-            self._validate()
+        self._faces: dict[int, np.ndarray] = {}
+        self._validate()
 
     # -- construction ------------------------------------------------------
 
@@ -63,79 +103,65 @@ class FilteredComplex:
         Vertices may be omitted; any vertex referenced by a higher simplex is
         implied with filtration value 0.
         """
-        by_dim: dict[int, list[Simplex]] = {}
+        by_dim: dict[int, list[Sequence[int]]] = {}
         val_by_dim: dict[int, list[float]] = {}
-        seen: dict[Simplex, float] = {}
         for raw, v in zip(simplices, values):
-            simplex = tuple(int(x) for x in raw)
-            if len(simplex) == 0:
+            if len(raw) == 0:
                 raise ParseError("empty simplex in input")
-            if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
+            by_dim.setdefault(len(raw) - 1, []).append(raw)
+            val_by_dim.setdefault(len(raw) - 1, []).append(v)
+
+        try:
+            arrays = {k: np.asarray(by_dim[k], dtype=np.int64).reshape(-1, k + 1) for k in by_dim}
+        except OverflowError:
+            raise ParseError("vertex ids must fit in a signed 64-bit integer") from None
+        for rows in arrays.values():
+            bad = np.flatnonzero(np.any(np.diff(rows, axis=1) <= 0, axis=1))
+            if len(bad):
                 raise ParseError(
-                    f"simplex {list(simplex)} is not a strictly ascending vertex list"
+                    f"simplex {rows[bad[0]].tolist()} is not a strictly ascending vertex list"
                 )
-            if simplex in seen:
-                raise InputError(f"duplicate simplex {list(simplex)} in input")
-            seen[simplex] = float(v)
-            by_dim.setdefault(len(simplex) - 1, []).append(simplex)
-            val_by_dim.setdefault(len(simplex) - 1, []).append(float(v))
 
         # Imply any vertex mentioned only as part of a higher simplex.
-        implied = set()
-        for k, simps in by_dim.items():
-            if k == 0:
-                continue
-            for s in simps:
-                implied.update(s)
-        present = {s[0] for s in by_dim.get(0, [])}
-        for vid in sorted(implied - present):
-            by_dim.setdefault(0, []).append((vid,))
-            val_by_dim.setdefault(0, []).append(0.0)
-
-        out_s: dict[int, list[Simplex]] = {}
-        out_v: dict[int, np.ndarray] = {}
-        for k in sorted(by_dim):
-            order = sorted(range(len(by_dim[k])), key=lambda i: by_dim[k][i])
-            out_s[k] = [by_dim[k][i] for i in order]
-            out_v[k] = np.asarray([val_by_dim[k][i] for i in order], dtype=float)
-        return cls(out_s, out_v, points=points, validate=True)
+        present = arrays.get(0, np.zeros((0, 1), dtype=np.int64))
+        mentioned = np.concatenate([present.ravel(), *(rows.ravel() for rows in arrays.values())])
+        implied = np.setdiff1d(mentioned, present)
+        if len(implied):
+            arrays[0] = np.concatenate([present, implied[:, None]])
+            val_by_dim[0] = [*val_by_dim.get(0, []), *[0.0] * len(implied)]
+        return cls(arrays, val_by_dim, points=points)
 
     def _validate(self) -> None:
-        for k in self._simplices:
-            simps = self._simplices[k]
-            vals = self._values[k]
-            if len(simps) != len(vals):
-                raise InputError(f"dimension {k}: {len(simps)} simplices but {len(vals)} values")
-            for i in range(len(simps) - 1):
-                if simps[i] >= simps[i + 1]:
-                    raise InputError(f"dimension {k}: simplex list not sorted/duplicate-free")
         if 0 in self._values and len(self._values[0]) and np.any(self._values[0] != 0.0):
             bad = int(np.argmax(self._values[0] != 0.0))
             raise MonotonicityError(
                 f"vertex {self._simplices[0][bad][0]} carries nonzero filtration value "
                 f"{self._values[0][bad]}"
             )
-        lookup = {
-            s: self._values[k][i]
-            for k in self._simplices
-            for i, s in enumerate(self._simplices[k])
-        }
-        for k in sorted(self._simplices):
+        for k in self.dims():
             if k == 0:
                 continue
-            for i, s in enumerate(self._simplices[k]):
-                fv = self._values[k][i]
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1 :]
-                    if face not in lookup:
-                        raise ClosureError(
-                            f"simplex {list(s)} present but its face {list(face)} is missing"
-                        )
-                    if lookup[face] > fv:
-                        raise MonotonicityError(
-                            f"simplex {list(s)} has value {fv} but its face "
-                            f"{list(face)} has larger value {lookup[face]}"
-                        )
+            simps = self._simplices[k]
+            vals = self._values[k]
+            below = self._simplices.get(k - 1, np.zeros((0, k), dtype=np.int64))
+            # column c omits v_(k-c)
+            omit = [np.delete(simps, k - c, axis=1) for c in range(k + 1)]
+            faces = _find_rows(below, np.concatenate(omit)).reshape(k + 1, -1).T
+            missing = faces < 0
+            face_vals = np.append(self.values(k - 1), -np.inf)[faces]
+            bad = missing | (face_vals > vals[:, None])
+            if bad.any():
+                # report the first defect in simplex order, omitting v_0 first
+                j, i = divmod(int(np.argmax(bad[:, ::-1])), k + 1)
+                c = k - i
+                s, face = simps[j].tolist(), omit[c][j].tolist()
+                if missing[j, c]:
+                    raise ClosureError(f"simplex {s} present but its face {face} is missing")
+                raise MonotonicityError(
+                    f"simplex {s} has value {vals[j]} but its face "
+                    f"{face} has larger value {face_vals[j, c]}"
+                )
+            self._faces[k] = faces
 
     # -- queries -----------------------------------------------------------
 
@@ -148,7 +174,7 @@ class FilteredComplex:
         return sorted(self._simplices)
 
     def simplices(self, k: int) -> list[Simplex]:
-        return self._simplices.get(k, [])
+        return _tuples(self._simplices.get(k, np.zeros((0, k + 1), dtype=np.int64)))
 
     def values(self, k: int) -> np.ndarray:
         return self._values.get(k, np.zeros(0))
@@ -176,9 +202,8 @@ class FilteredComplex:
         simplices = []
         values = []
         for k in sorted(self._simplices):
-            for s, v in zip(self._simplices[k], self._values[k]):
-                simplices.append(list(s))
-                values.append(float(v))
+            simplices.extend(self._simplices[k].tolist())
+            values.extend(self._values[k].tolist())
         out = {"simplices": simplices, "values": values}
         if self.points is not None:
             out["points"] = [[float(c) for c in row] for row in self.points]
@@ -190,7 +215,7 @@ class FilteredComplex:
         if self.dims() != other.dims():
             return False
         return all(
-            self._simplices[k] == other._simplices[k]
+            np.array_equal(self._simplices[k], other._simplices[k])
             and np.array_equal(self._values[k], other._values[k])
             for k in self._simplices
         )
@@ -212,29 +237,23 @@ def sublevel(fc: FilteredComplex, t: float) -> "ComplexSlice":
 
 @dataclass
 class ComplexSlice:
-    """A sublevel set of a parent complex, stored as per-dimension index
-    arrays into the parent's simplex lists (parent order preserved)."""
+    """A sublevel set of a parent complex, stored as per-dimension ascending
+    index arrays into the parent's simplex rows (parent order preserved)."""
 
     parent: FilteredComplex
     t: float
     indices: dict[int, np.ndarray]
-    _pos: dict[int, dict[Simplex, int]] = field(default_factory=dict, repr=False)
 
     def n_simplices(self, k: int) -> int:
         return len(self.indices.get(k, ()))
 
     def simplices(self, k: int) -> list[Simplex]:
-        par = self.parent.simplices(k)
-        return [par[i] for i in self.indices.get(k, ())]
+        if k not in self.indices:
+            return []
+        return _tuples(self.parent._simplices[k][self.indices[k]])
 
     def values(self, k: int) -> np.ndarray:
         return self.parent.values(k)[self.indices.get(k, np.zeros(0, dtype=int))]
-
-    def position(self, k: int, simplex: Simplex) -> int:
-        """Local index of a simplex within this slice's dimension-k list."""
-        if k not in self._pos:
-            self._pos[k] = {s: i for i, s in enumerate(self.simplices(k))}
-        return self._pos[k][simplex]
 
     def boundary_matrix(self, k: int) -> "SparseSignMatrix":
         return boundary_matrix(self, k)
@@ -295,32 +314,25 @@ def boundary_matrix(sl: ComplexSlice, k: int) -> SparseSignMatrix:
             cols=np.zeros(0, dtype=np.int64),
             signs=np.zeros(0, dtype=np.int64),
         )
-    n_rows = sl.n_simplices(k - 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    signs: list[int] = []
-    for j, s in enumerate(sl.simplices(k)):
-        entries = []
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            try:
-                r = sl.position(k - 1, face)
-            except KeyError:
-                raise ClosureError(
-                    f"simplex {list(s)} in slice but its face {list(face)} is not"
-                ) from None
-            entries.append((r, -1 if i % 2 else 1))
-        entries.sort()
-        for r, sgn in entries:
-            rows.append(r)
-            cols.append(j)
-            signs.append(sgn)
+    below = sl.indices.get(k - 1, np.zeros(0, dtype=np.int64))
+    faces = sl.parent._faces[k][sl.indices.get(k, np.zeros(0, dtype=np.int64))]
+    rows = np.searchsorted(below, faces)
+    missing = np.append(below, -1)[rows] != faces
+    if missing.any():
+        # report the first defect in column order, omitting v_0 first
+        j, i = divmod(int(np.argmax(missing[:, ::-1])), k + 1)
+        s = sl.simplices(k)[j]
+        raise ClosureError(
+            f"simplex {list(s)} in slice but its face {list(s[:i] + s[i + 1:])} is not"
+        )
+    # the face table lists each simplex's faces omitting v_k, ..., v_0, which
+    # are ascending rows, so entries come out sorted by column then row
     return SparseSignMatrix(
-        n_rows=n_rows,
+        n_rows=len(below),
         n_cols=n_cols,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        signs=np.asarray(signs, dtype=np.int64),
+        rows=rows.ravel(),
+        cols=np.repeat(np.arange(n_cols, dtype=np.int64), k + 1),
+        signs=np.tile((-1) ** np.arange(k, -1, -1, dtype=np.int64), n_cols),
     )
 
 

@@ -217,7 +217,6 @@ def track(
     fc: FilteredComplex,
     grid: FiltrationGrid,
     theta: float = THETA_DEFAULT,
-    validate: bool = True,
     spectra_out: list | None = None,
 ) -> TrajectorySet:
     """Follow eigenvectors across the grid by matching consecutive spectra.
@@ -245,7 +244,7 @@ def track(
     spectra: list[TypedSpectrum] = []
     for sl, solve in zip(slices, solved):
         spectra.append(
-            spectrum_of_slice(sl, k, m=grid.m, validate=validate)
+            spectrum_of_slice(sl, k, m=grid.m)
             if solve
             else replace(spectra[-1], t=sl.t)
         )

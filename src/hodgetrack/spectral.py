@@ -464,24 +464,22 @@ def spectrum_at(
     t: float,
     k: int,
     m: int | None = None,
-    validate: bool = True,
 ) -> TypedSpectrum:
     """Typed spectrum of the dimension-k Laplacian of the sublevel slice at t.
 
-    With validate=True the harmonic count is cross-checked against the rank
-    identity dim ker L_k = |S_k| - rk B_k - rk B_{k+1}, with exact ranks
-    (components / free-face peeling, numerical rank only on the unpeelable
-    core); a mismatch raises SolverError.
+    The harmonic count is always cross-checked against the rank identity
+    dim ker L_k = |S_k| - rk B_k - rk B_{k+1}, with exact ranks (components /
+    free-face peeling, numerical rank only on the unpeelable core); a mismatch
+    raises SolverError.
     """
     sl = sublevel(fc, t)
-    return spectrum_of_slice(sl, k, m=m, validate=validate)
+    return spectrum_of_slice(sl, k, m=m)
 
 
 def spectrum_of_slice(
     sl: ComplexSlice,
     k: int,
     m: int | None = None,
-    validate: bool = True,
 ) -> TypedSpectrum:
     ops = hodge_operators(sl, k)
     if ops.n == 0:
@@ -493,12 +491,11 @@ def spectrum_of_slice(
         # the Ritz rotation sees the whole eigenspace; every vector is pure
         # now, so cutting back to m keeps each kept vector's type
         pairs = pairs[:m]
-    if validate:
-        expected = harmonic_dimension(ops)
-        observed = sum(1 for p in pairs if p.kind == HARMONIC)
-        if observed != min(expected, len(pairs)):
-            raise SolverError(
-                f"harmonic count {observed} disagrees with rank identity "
-                f"{expected} (m={len(pairs)}, n={ops.n})"
-            )
+    expected = harmonic_dimension(ops)
+    observed = sum(1 for p in pairs if p.kind == HARMONIC)
+    if observed != min(expected, len(pairs)):
+        raise SolverError(
+            f"harmonic count {observed} disagrees with rank identity "
+            f"{expected} (m={len(pairs)}, n={ops.n})"
+        )
     return TypedSpectrum(k=k, t=sl.t, pairs=pairs, lam_max=lam_max, n_chain=ops.n)

@@ -110,6 +110,19 @@ def closure_defects(simplices_by_dim: dict) -> list:
     return missing
 
 
+def boundary_oracle(simplices_k, simplices_below) -> list:
+    """Boundary entries (row, col, sign) from k-simplices to (k-1)-simplices,
+    found by tuple lookup: column j holds the faces of simplices_k[j], the face
+    omitting v_i gets sign (-1)^i, entries ordered by column then row. A face
+    missing from simplices_below raises KeyError."""
+    position = {s: i for i, s in enumerate(simplices_below)}
+    entries = []
+    for j, s in enumerate(simplices_k):
+        column = sorted((position[s[:i] + s[i + 1:]], (-1) ** i) for i in range(len(s)))
+        entries.extend((r, j, sign) for r, sign in column)
+    return entries
+
+
 def brute_pes_table(src: np.ndarray, dst: np.ndarray, positions) -> np.ndarray:
     """Similarity matrix computed entry by entry with explicit padding.
 

@@ -39,6 +39,8 @@ def test_traced_spans_resolve():
     metrics = tracer.layer_metrics()
     for name in ("spectral.assign_types", "spectral.eigendecompose", "persistence.pem"):
         assert metrics[f"{name}.calls"] >= 1
+    assert metrics["complexes.boundary_matrix.calls"] >= 1
+    assert metrics["complexes.boundary_matrix.nnz"] > 0
     assert not hasattr(hodgetrack.track, "__wrapped__")  # uninstall restored the original
 
 

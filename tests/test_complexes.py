@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgetrack import (
     ClosureError,
+    ComplexSlice,
     FilteredComplex,
     InputError,
     LineageError,
@@ -17,7 +22,7 @@ from hodgetrack import (
 from hodgetrack.complexes import IndexMap
 
 from conftest import filled_triangle, hollow_triangle, path_complex
-from oracles import closure_defects, integer_rank
+from oracles import boundary_oracle, closure_defects, integer_rank
 
 
 def test_from_simplices_implies_vertices():
@@ -122,6 +127,60 @@ def test_rank_matches_integer_oracle(rng):
         for k in (1, 2):
             dense = boundary_matrix(sl, k).to_dense()
             assert np.linalg.matrix_rank(dense) == integer_rank(dense)
+
+
+@st.composite
+def monotone_flag_complexes(draw):
+    """Clique complex up to dimension 3 on up to 8 distinct vertex ids of magnitude
+    up to 2**62, each simplex valued at least its faces, listed in shuffled order."""
+    ids = sorted(draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=8, unique=True)))
+    pairs = list(itertools.combinations(ids, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    value = {(v,): 0.0 for v in ids}
+    for e, kept in zip(pairs, keep):
+        if kept:
+            value[e] = float(draw(st.integers(0, 3)))
+    for size in (3, 4):
+        for c in itertools.combinations(ids, size):
+            faces = list(itertools.combinations(c, size - 1))
+            if all(f in value for f in faces):
+                value[c] = max(value[f] for f in faces) + float(draw(st.integers(0, 1)))
+    return draw(st.permutations(sorted(value.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_flag_complexes())
+def test_boundary_matches_oracle_at_every_value(items):
+    fc = FilteredComplex.from_simplices([s for s, _ in items], [v for _, v in items])
+    for t in fc.distinct_values():
+        sl = sublevel(fc, t)
+        by_dim = {k: sorted(s for s, v in items if v <= t and len(s) == k + 1) for k in range(4)}
+        for k in range(1, fc.dim + 1):
+            b = boundary_matrix(sl, k)
+            assert (b.n_rows, b.n_cols) == (len(by_dim[k - 1]), len(by_dim[k]))
+            entries = list(zip(b.rows.tolist(), b.cols.tolist(), b.signs.tolist()))
+            assert entries == boundary_oracle(by_dim[k], by_dim[k - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_flag_complexes())
+def test_missing_faces_raise_closure_error(items):
+    fc = FilteredComplex.from_simplices([s for s, _ in items], [v for _, v in items])
+    full = sublevel(fc, fc.max_value)
+    for k in range(1, fc.dim + 1):
+        # a hand-built slice that drops one face of its last k-simplex
+        drop = full.simplices(k - 1).index(full.simplices(k)[-1][1:])
+        kept = np.delete(full.indices[k - 1], drop)
+        unclosed = ComplexSlice(parent=fc, t=full.t, indices={**full.indices, k - 1: kept})
+        with pytest.raises(ClosureError):
+            boundary_matrix(unclosed, k)
+    for k in range(2, fc.dim + 1):
+        # a complex missing one face, or every simplex of dimension k-1
+        face = full.simplices(k)[0][:-1]
+        for dropped in ({face}, set(full.simplices(k - 1))):
+            rest = [(s, v) for s, v in items if s not in dropped]
+            with pytest.raises(ClosureError):
+                FilteredComplex.from_simplices([s for s, _ in rest], [v for _, v in rest])
 
 
 def test_closure_oracle_agrees():

@@ -132,12 +132,17 @@ def test_too_few_points():
 
 def test_square_tie_takes_diagonal_through_smallest_id():
     # cocircular: both diagonals are valid Delaunay; the index perturbation
-    # must pick the one through vertex 0
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    tri = delaunay_2d(PointCloud(pts))
-    assert (0, 2) in tri.edges
-    assert (1, 3) not in tri.edges
-    assert sorted(tri.triangles) == [(0, 1, 2), (0, 2, 3)]
+    # must pick the one through vertex 0. In the second labelling that is the
+    # diagonal only the scalar tie-break on finite in-band triangles produces.
+    cases = [
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], (0, 2), (1, 3), [(0, 1, 2), (0, 2, 3)]),
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (0, 3), (1, 2), [(0, 1, 3), (0, 2, 3)]),
+    ]
+    for pts, diagonal, other, triangles in cases:
+        tri = delaunay_2d(PointCloud(np.array(pts)))
+        assert diagonal in tri.edges
+        assert other not in tri.edges
+        assert sorted(tri.triangles) == triangles
 
 
 def test_square_tie_invariant_under_relabel_position():

@@ -155,7 +155,7 @@ def test_classification_total_on_random_complexes(rng):
         pts = rng.uniform(-1, 1, size=(40, 2))
         fc = filtration_values(delaunay_2d(PointCloud(pts)))
         for t in np.quantile(fc.distinct_values(), [0.3, 0.6, 1.0]):
-            spec = spectrum_at(fc, float(t), 1)  # validate=True checks ranks
+            spec = spectrum_at(fc, float(t), 1)  # every spectrum checks its ranks
             assert all(p.kind in ("harmonic", "gradient", "curl") for p in spec.pairs)
 
 
