@@ -116,7 +116,7 @@ class FilteredComplex:
         except OverflowError:
             raise ParseError("vertex ids must fit in a signed 64-bit integer") from None
         for rows in arrays.values():
-            bad = np.flatnonzero(np.any(np.diff(rows, axis=1) <= 0, axis=1))
+            bad = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
             if len(bad):
                 raise ParseError(
                     f"simplex {rows[bad[0]].tolist()} is not a strictly ascending vertex list"

@@ -1,13 +1,14 @@
 """Point cloud ingestion, 2D Delaunay triangulation, circumradius filtrations.
 
 The triangulation is incremental insertion with cavity retriangulation. The
-enclosing construction uses three symbolic vertices at infinity, so predicates
-involving them are evaluated as limits rather than with huge finite
-coordinates. Near-degenerate predicate values (within a relative band of
-1e-12) are resolved by a deterministic index-based perturbation of the
-paraboloid lifting: lower point ids are lifted infinitesimally lower, which in
-particular breaks cocircular ties toward the diagonal through the smallest
-vertex id.
+outside of the convex hull is covered by ghost triangles (a, b, -1), one per
+hull edge, that share a single ghost vertex -1. A ghost's circumdisk is the
+open half-plane beyond its edge, so it conflicts with a point strictly
+outside the edge's line or strictly inside the edge itself. Near-degenerate
+predicate values (within a relative band of 1e-12) are resolved by a
+deterministic index-based perturbation of the paraboloid lifting: lower point
+ids are lifted infinitesimally lower, which in particular breaks cocircular
+ties toward the diagonal through the smallest vertex id.
 
 The triangles live in numpy arrays: an insertion is one vectorised scan of
 all of them plus Python work on its cavity, so the triangulation is quadratic.
@@ -33,11 +34,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 EPS_BAND = 1e-12  # relative half-width of the predicate tie band
-
-# Directions of the three vertices at infinity, counterclockwise. The angular
-# offset keeps them away from the coordinate axes.
-_IDEAL_ANGLES = (1.9, 1.9 + 2.0 * math.pi / 3.0, 1.9 + 4.0 * math.pi / 3.0)
-IDEAL_DIRS = tuple((math.cos(a), math.sin(a)) for a in _IDEAL_ANGLES)
 
 
 # -- point clouds ------------------------------------------------------------
@@ -140,18 +136,6 @@ def orient_sign(pa, pb, pc) -> int:
     return 0
 
 
-def _cross_sign(ux, uy, wx, wy) -> int:
-    t1 = ux * wy
-    t2 = uy * wx
-    det = t1 - t2
-    mag = abs(t1) + abs(t2)
-    if det > EPS_BAND * mag:
-        return 1
-    if det < -EPS_BAND * mag:
-        return -1
-    return 0
-
-
 def _incircle_parts(a, b, c, p):
     """Translated 3x3 lifted determinant and its magnitude estimate.
 
@@ -172,35 +156,32 @@ def _incircle_parts(a, b, c, p):
     return det, mag
 
 
-# slot states of _Triangulator: 1 + the number of ideal vertices, or dead
-_DEAD, _FINITE, _ONE_IDEAL, _MULTI_IDEAL = 0, 1, 2, 3
+# slot states of _Triangulator
+_DEAD, _FINITE, _GHOST = 0, 1, 2
 
 
 class _Triangulator:
     """Incremental Delaunay of a fixed 2D point set.
 
-    Triangles are ccw vertex triples; ids -1, -2, -3 denote the three
-    vertices at infinity (directions IDEAL_DIRS[0..2]). Slot i of the growable
-    arrays holds triangle verts[i], its state and, in column xy[:, i], the
-    coordinates of its finite vertices a, b, c (of a one-ideal triangle, its
-    finite edge a -> b as `_incircle` rotates it). Each insertion scans all
-    slots once, kills the cavity's slots and appends the new triangles, so
-    the whole triangulation stays quadratic.
+    Triangles are ccw vertex triples. Id -1 is the ghost vertex: the ghost
+    triangle (a, b, -1) covers the outside of the hull edge a -> b, whose
+    triangle lies to its right. Slot i of the growable arrays holds triangle
+    verts[i], its state and, in column xy[:, i], the coordinates of its
+    vertices a, b, c (a ghost's c is the last point, id -1, and is never
+    read). Each insertion scans all slots once, kills the cavity's slots and
+    appends the new triangles, so the whole triangulation stays quadratic.
     """
 
-    def __init__(self, pts: np.ndarray):
+    def __init__(self, pts: np.ndarray, seed: tuple[int, int, int]):
         self.pts = pts
-        self.verts = np.array([(-1, -2, -3)], dtype=np.int64)
-        self.state = np.array([_MULTI_IDEAL], dtype=np.int8)
-        self.xy = np.zeros((6, 1))  # ax, ay, bx, by, cx, cy
-        self.size = 1
-        self.ties = 0  # in-band evaluations settled by the scalar predicates
+        self.verts = np.zeros((0, 3), dtype=np.int64)
+        self.state = np.zeros(0, dtype=np.int8)
+        self.xy = np.zeros((6, 0))  # ax, ay, bx, by, cx, cy
+        self.size = 0
+        self.ties = 0  # in-band evaluations settled by a tie rule
         self.compactions = 0
-
-    # id -> ideal direction index
-    @staticmethod
-    def _ideal(v: int) -> int:
-        return -v - 1
+        a, b, c = seed
+        self._append([(a, b, c), (b, a, -1), (c, b, -1), (a, c, -1)])
 
     # -- tie-broken predicates ----------------------------------------
 
@@ -231,72 +212,6 @@ class _Triangulator:
                 return s < 0
         return False
 
-    def _incircle_one_ideal(self, a, b, ideal, pid, p) -> bool:
-        """Triangle (a, b, infinity): the limiting circumdisk is the open
-        half-plane left of the directed edge a -> b."""
-        pa, pb = self.pts[a], self.pts[b]
-        o = orient_sign(pa, pb, p)
-        if o:
-            return o > 0
-        dcx, dcy = IDEAL_DIRS[ideal]
-        # Second-order term of the determinant in the distance to infinity.
-        ax, ay = pa[0] - p[0], pa[1] - p[1]
-        bx, by = pb[0] - p[0], pb[1] - p[1]
-        a2 = ax * ax + ay * ay
-        b2 = bx * bx + by * by
-        t1 = dcx * (ay * b2 - by * a2)
-        t2 = dcy * (ax * b2 - bx * a2)
-        tv = t1 - t2
-        mag = abs(t1) + abs(t2)
-        if tv > EPS_BAND * mag:
-            return True
-        if tv < -EPS_BAND * mag:
-            return False
-        # Index perturbation at leading order in the distance to infinity.
-        cands = sorted(
-            [
-                (a, _cross_sign(dcx, dcy, p[0] - pb[0], p[1] - pb[1])),
-                (b, -_cross_sign(dcx, dcy, p[0] - pa[0], p[1] - pa[1])),
-                (pid, -_cross_sign(pb[0] - pa[0], pb[1] - pa[1], dcx, dcy)),
-            ]
-        )
-        for _, s in cands:
-            if s:
-                return s < 0
-        return False
-
-    def _incircle_two_ideal(self, a, iu, iv, pid, p) -> bool:
-        """Triangle (a, infinity_u, infinity_v): the limiting circumdisk is
-        the open half-plane through a spanned by the chord direction v - u."""
-        pa = self.pts[a]
-        ux, uy = IDEAL_DIRS[iu]
-        vx, vy = IDEAL_DIRS[iv]
-        s = _cross_sign(pa[0] - p[0], pa[1] - p[1], ux - vx, uy - vy)
-        if s:
-            return s > 0
-        c2 = _cross_sign(ux, uy, vx, vy)
-        if pid < a:
-            return c2 > 0
-        return c2 < 0
-
-    def _incircle(self, tri, pid, p) -> bool:
-        ideals = [v for v in tri if v < 0]
-        if not ideals:
-            return self._incircle_finite(tri, pid, p)
-        if len(ideals) == 3:
-            return True
-        # Rotate cyclically (parity preserving) into canonical positions.
-        t = list(tri)
-        if len(ideals) == 1:
-            while t[2] >= 0:
-                t = [t[1], t[2], t[0]]
-            return self._incircle_one_ideal(t[0], t[1], self._ideal(t[2]), pid, p)
-        while t[0] < 0:
-            t = [t[1], t[2], t[0]]
-        return self._incircle_two_ideal(
-            t[0], self._ideal(t[1]), self._ideal(t[2]), pid, p
-        )
-
     # -- insertion ----------------------------------------------------
 
     def insert(self, pid: int) -> None:
@@ -319,19 +234,22 @@ class _Triangulator:
         finite = state == _FINITE
         bad = finite & (det > band)
         ties = np.flatnonzero(finite & (np.abs(det) <= band))
-        # orient_sign(a, b, p) on the finite edge of each one-ideal slot
-        one = np.flatnonzero(state == _ONE_IDEAL)
-        ex, ey, fx, fy = xy[:4, one]
+        # A ghost (a, b, -1) conflicts when orient_sign(a, b, p) > 0 or, in
+        # the tie band, when p lies strictly between a and b.
+        ghost = np.flatnonzero(state == _GHOST)
+        ex, ey, fx, fy = xy[:4, ghost]
         t1 = (fx - ex) * (py - ey)
         t2 = (fy - ey) * (px - ex)
         odet = t1 - t2
         oband = EPS_BAND * (np.abs(t1) + np.abs(t2))
-        bad[one] = odet > oband
-        one_ties = one[np.abs(odet) <= oband]
-        self.ties += len(ties) + len(one_ties)
-        scalar = np.concatenate([ties, one_ties, np.flatnonzero(state == _MULTI_IDEAL)])
-        for i, tri in zip(scalar.tolist(), self.verts[scalar].tolist()):
-            bad[i] = self._incircle(tuple(tri), pid, p)
+        on_line = np.abs(odet) <= oband
+        between = ((px - ex) * (fx - ex) + (py - ey) * (fy - ey) > 0) & (
+            (px - fx) * (ex - fx) + (py - fy) * (ey - fy) > 0
+        )
+        bad[ghost] = (odet > oband) | (on_line & between)
+        self.ties += len(ties) + int(on_line.sum())
+        for i, tri in zip(ties.tolist(), self.verts[ties].tolist()):
+            bad[i] = self._incircle_finite(tri, pid, p)
 
         cavity_idx = np.flatnonzero(bad)
         if not len(cavity_idx):
@@ -340,21 +258,22 @@ class _Triangulator:
         state[cavity_idx] = _DEAD
         edges = [e for a, b, c in cavity for e in ((a, b), (b, c), (c, a))]
         dead_edges = set(edges)
-        self._append([(u, v, pid) for u, v in edges if (v, u) not in dead_edges])
+        # new triangles (u, v, pid), rotated so that the ghost vertex comes last
+        self._append([
+            (v, pid, u) if u < 0 else (pid, u, v) if v < 0 else (u, v, pid)
+            for u, v in edges
+            if (v, u) not in dead_edges
+        ])
 
     def _append(self, tris: list[tuple[int, int, int]]) -> None:
-        """Store triangles (u, v, w) whose last vertex is finite."""
+        """Store ccw triangles whose ghost vertex, if any, comes last."""
         k = len(tris)
         if self.size + k > len(self.state):
             self._compact(k)
-        coords = []
-        for u, v, w in tris:
-            a, b = (v, w) if u < 0 else (w, u) if v < 0 else (u, v)
-            coords.append((a if a >= 0 else w, b, w))  # unused entries repeat w
         s, self.size = self.size, self.size + k
         self.verts[s:s + k] = tris
-        self.state[s:s + k] = [_FINITE + (u < 0) + (v < 0) for u, v, _ in tris]
-        self.xy[:, s:s + k] = self.pts[coords].reshape(k, 6).T
+        self.state[s:s + k] = [_GHOST if w < 0 else _FINITE for _, _, w in tris]
+        self.xy[:, s:s + k] = self.pts[self.verts[s:s + k]].reshape(k, 6).T
 
     def _compact(self, extra: int) -> None:
         """Move the live slots to the front, growing so that half stays free."""
@@ -372,6 +291,9 @@ class _Triangulator:
         n = self.size
         tris = np.sort(self.verts[:n][self.state[:n] == _FINITE], axis=1)
         return sorted(set(map(tuple, tris.tolist())))
+
+    def hull_edges(self) -> int:
+        return int(np.count_nonzero(self.state[:self.size] == _GHOST))
 
 
 @dataclass(frozen=True)
@@ -395,12 +317,15 @@ def delaunay_2d(cloud: PointCloud) -> Triangulation:
     n = len(pts)
     if n < 3:
         raise DegeneracyError(f"triangulation requires at least 3 points, got {n}")
-    if _all_collinear(pts):
+    # the seed triangle: points 0, 1 and the first point off their line
+    third = next((i for i in range(2, n) if orient_sign(pts[0], pts[1], pts[i])), None)
+    if third is None:
         raise DegeneracyError("input points are collinear")
-
-    tr = _Triangulator(pts)
-    for pid in range(n):
-        tr.insert(pid)
+    a, b = (0, 1) if orient_sign(pts[0], pts[1], pts[third]) > 0 else (1, 0)
+    tr = _Triangulator(pts, (a, b, third))
+    for pid in range(2, n):
+        if pid != third:
+            tr.insert(pid)
     triangles = tr.finite_triangles()
 
     covered = np.zeros(n, dtype=bool)
@@ -412,22 +337,11 @@ def delaunay_2d(cloud: PointCloud) -> Triangulation:
 
     edges = sorted({(t[i], t[j]) for t in triangles for i, j in ((0, 1), (0, 2), (1, 2))})
     logger.debug(
-        "delaunay_2d: %d points, %d triangles, %d tie-band evaluations, %d compactions",
-        n, len(triangles), tr.ties, tr.compactions,
+        "delaunay_2d: %d points, %d triangles, %d hull edges, %d tie-band evaluations, "
+        "%d compactions",
+        n, len(triangles), tr.hull_edges(), tr.ties, tr.compactions,
     )
     return Triangulation(points=pts, edges=edges, triangles=triangles)
-
-
-def _all_collinear(pts: np.ndarray) -> bool:
-    base = pts[0]
-    ref = None
-    for i in range(1, len(pts)):
-        if ref is None:
-            ref = i
-            continue
-        if orient_sign(base, pts[ref], pts[i]) != 0:
-            return False
-    return True
 
 
 # -- circumradius and filtration ---------------------------------------------
@@ -452,41 +366,47 @@ def circumradius(vertices) -> float:
         )
     if m == 1:
         return 0.0
-    u = v[1:] - v[0]
-    gram = u @ u.T
-    norms = np.sqrt(np.diag(gram))
-    thresh = (EPS_BAND * float(np.prod(norms))) ** 2
-    if float(np.linalg.det(gram)) <= thresh:
+    return float(_circumradii(v[None])[0])
+
+
+def _circumradii(v: np.ndarray) -> np.ndarray:
+    """Circumradii of a (T, m, d) stack of simplices with 2 <= m <= d + 1.
+
+    The arithmetic is stacked matrix products, which round as the per-simplex
+    products do; einsum or norm(axis=...) would not.
+    """
+    u = v[:, 1:] - v[:, :1]
+    gram = u @ u.transpose(0, 2, 1)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    thresh = (EPS_BAND * np.prod(np.sqrt(diag), axis=1)) ** 2
+    flat = np.linalg.det(gram) <= thresh
+    if flat.any():
         raise DegeneracyError(
-            f"circumradius of affinely dependent vertices {v.tolist()}"
+            f"circumradius of affinely dependent vertices {v[np.argmax(flat)].tolist()}"
         )
-    x = np.linalg.solve(2.0 * gram, np.diag(gram))
-    center = x @ u
-    return float(np.linalg.norm(center))
+    x = np.linalg.solve(2.0 * gram, diag[..., None])[..., 0]
+    c = (x[:, None, :] @ u)[:, 0]
+    return np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
 
 
 def filtration_values(tri: Triangulation) -> FilteredComplex:
     """Assign each simplex its circumradius, then enforce monotonicity by
-    raising every simplex to the maximum over its faces. Vertices enter at 0."""
+    raising every triangle to the maximum over its edges. Vertices enter at 0."""
     pts = tri.points
-    simplices: list[tuple[int, ...]] = [(i,) for i in range(len(pts))]
-    values: list[float] = [0.0] * len(pts)
-
-    edge_val: dict[tuple[int, int], float] = {}
-    for e in tri.edges:
-        r = float(np.linalg.norm(pts[e[0]] - pts[e[1]]) / 2.0)
-        edge_val[e] = r
-        simplices.append(e)
-        values.append(r)
-
-    for t in tri.triangles:
-        r = circumradius(pts[list(t)])
-        faces = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        r = max(r, max(edge_val[f] for f in faces))
-        simplices.append(t)
-        values.append(r)
-
-    return FilteredComplex.from_simplices(simplices, values, points=pts)
+    n = len(pts)
+    edges = np.asarray(tri.edges, dtype=np.int64).reshape(-1, 2)
+    tris = np.asarray(tri.triangles, dtype=np.int64).reshape(-1, 3)
+    edge_r = _circumradii(pts[edges])
+    # each triangle's edges (a, b), (a, c), (b, c); ids are below n, so the
+    # keys a*n + b are exact and ascend with the sorted edge list
+    pairs = tris[:, [0, 0, 1]] * n + tris[:, [1, 2, 2]]
+    faces = np.searchsorted(edges[:, 0] * n + edges[:, 1], pairs)
+    tri_r = np.maximum(_circumradii(pts[tris]), edge_r[faces].max(axis=1))
+    return FilteredComplex(
+        {0: np.arange(n)[:, None], 1: edges, 2: tris},
+        {0: np.zeros(n), 1: edge_r, 2: tri_r},
+        points=pts,
+    )
 
 
 def import_complex(path) -> FilteredComplex:

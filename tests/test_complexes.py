@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodgetrack import (
@@ -148,8 +148,13 @@ def monotone_flag_complexes(draw):
     return draw(st.permutations(sorted(value.items())))
 
 
+# ids whose difference, 2**63, overflows int64: ascending checks must compare
+WIDEST_EDGE = [((-(2**62),), 0.0), ((2**62,), 0.0), ((-(2**62), 2**62), 1.0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(monotone_flag_complexes())
+@example(WIDEST_EDGE)
 def test_boundary_matches_oracle_at_every_value(items):
     fc = FilteredComplex.from_simplices([s for s, _ in items], [v for _, v in items])
     for t in fc.distinct_values():
@@ -164,6 +169,7 @@ def test_boundary_matches_oracle_at_every_value(items):
 
 @settings(max_examples=100, deadline=None)
 @given(monotone_flag_complexes())
+@example(WIDEST_EDGE)
 def test_missing_faces_raise_closure_error(items):
     fc = FilteredComplex.from_simplices([s for s, _ in items], [v for _, v in items])
     full = sublevel(fc, fc.max_value)

@@ -145,6 +145,15 @@ def test_square_tie_takes_diagonal_through_smallest_id():
         assert sorted(tri.triangles) == triangles
 
 
+def test_point_inside_hull_edge_splits_it():
+    # (1, 0) lies strictly inside hull edge 0 -> 1 and is inserted last: the
+    # ghost beyond that edge must conflict with it, or the edge survives and
+    # (0, 1, 4) comes out as a zero-area triangle
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [1.0, 0.0]])
+    tri = delaunay_2d(PointCloud(pts))
+    assert tri.triangles == [(0, 3, 4), (1, 2, 4), (2, 3, 4)]
+
+
 def test_square_tie_invariant_under_relabel_position():
     # same square, points fed in a different order: still the smallest-id diagonal
     pts = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
@@ -241,7 +250,8 @@ def test_delaunay_matches_qhull_on_random_clouds(seed, n):
     assert in_circle_violations(pts, tri.triangles) == []
 
 
-def logged_ties(pts: np.ndarray, caplog) -> int:
+def logged_ties(pts: np.ndarray, caplog) -> tuple[int, int]:
+    """Tie-band evaluations and hull edges from the delaunay_2d DEBUG line."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
         tri = delaunay_2d(PointCloud(pts))
@@ -249,13 +259,18 @@ def logged_ties(pts: np.ndarray, caplog) -> int:
     msg = record.getMessage()
     assert f"{len(pts)} points, {len(tri.triangles)} triangles" in msg
     assert re.search(r"\d+ compactions", msg)
-    return int(re.search(r"(\d+) tie-band evaluations", msg).group(1))
+    hull = int(re.search(r"(\d+) hull edges", msg).group(1))
+    # a triangulated disk: interior edges bound two triangles, hull edges one
+    assert 2 * len(tri.edges) == 3 * len(tri.triangles) + hull
+    return int(re.search(r"(\d+) tie-band evaluations", msg).group(1)), hull
 
 
 def test_delaunay_logs_tie_band_evaluations(rng, caplog):
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert logged_ties(square, caplog) >= 1
-    assert logged_ties(random_cloud(rng, 100), caplog) == 0
+    ties, hull = logged_ties(square, caplog)
+    assert ties >= 1
+    assert hull == 4
+    assert logged_ties(random_cloud(rng, 100), caplog)[0] == 0
 
 
 # -- filtration --------------------------------------------------------------
@@ -269,6 +284,35 @@ def test_filtration_values_triangle():
         sorted(fc.values(1)), [0.5, 0.5, math.sqrt(2) / 2], atol=1e-12
     )
     np.testing.assert_allclose(fc.values(2), [math.sqrt(2) / 2], atol=1e-12)
+
+
+# sha256 of repr(fc.values(k).tolist()) for k = 1, 2 on the pinned four-disks
+# clouds. Every threshold and output file depends on these bits, so a change
+# to how the circumradii are computed must leave them alone.
+PINNED_VALUES = {
+    "four_disks_400_seed11": (
+        "550af7718d64fade97e3da3b29d0e56c26e9c5d86e50d811eae128d7433ad13a",
+        "7d0b8f3f7ae38c9214641beb62e88ddb26aae7f1798b7b15c6ff16156f322946",
+    ),
+    "four_disks_400_seed5": (
+        "f9a7dab05bad333218785db709b06f3d0b95aebdb47e9586352c15545d664f05",
+        "50ef7567741874772d8a2437a590c2430345ff621857793970a061fad8f91663",
+    ),
+    "four_disks_1000_seed11": (
+        "e4ed9eee611a1b3721081bab534beb281d16e8f1c68b8a1518ae917458e842e3",
+        "2c1ce0b4c5567b0b9d79202bfbe4b96a2f780be9486d27b3f37fd8c87389acc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VALUES))
+def test_filtration_values_pinned(name):
+    cloud, _ = PINNED_TRIANGLES[name]
+    fc = filtration_values(delaunay_2d(PointCloud(cloud())))
+    digests = tuple(
+        hashlib.sha256(repr(fc.values(k).tolist()).encode()).hexdigest() for k in (1, 2)
+    )
+    assert digests == PINNED_VALUES[name]
 
 
 def test_filtration_monotone(rng):
