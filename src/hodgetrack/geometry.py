@@ -1,17 +1,22 @@
 """Point cloud ingestion, 2D Delaunay triangulation, circumradius filtrations.
 
-The triangulation is incremental insertion with cavity retriangulation. The
-outside of the convex hull is covered by ghost triangles (a, b, -1), one per
-hull edge, that share a single ghost vertex -1. A ghost's circumdisk is the
-open half-plane beyond its edge, so it conflicts with a point strictly
-outside the edge's line or strictly inside the edge itself. Near-degenerate
-predicate values (within a relative band of 1e-12) are resolved by a
-deterministic index-based perturbation of the paraboloid lifting: lower point
-ids are lifted infinitesimally lower, which in particular breaks cocircular
-ties toward the diagonal through the smallest vertex id.
+The triangulation comes from Qhull (scipy.spatial.Delaunay) when one
+vectorised pass over its output, with the same predicates and tie band as
+below, proves it the unique Delaunay triangulation. That takes O(n log n)
+and covers point sets in general position.
 
-The triangles live in numpy arrays: an insertion is one vectorised scan of
-all of them plus Python work on its cavity, so the triangulation is quadratic.
+Otherwise (cocircular or collinear points, or any predicate value inside the
+band) it is incremental insertion with cavity retriangulation. The outside
+of the convex hull is covered by ghost triangles (a, b, -1), one per hull
+edge, that share a single ghost vertex -1. A ghost's circumdisk is the open
+half-plane beyond its edge, so it conflicts with a point strictly outside the
+edge's line or strictly inside the edge itself. Near-degenerate predicate
+values (within a relative band of 1e-12) are resolved by a deterministic
+index-based perturbation of the paraboloid lifting (Edelsbrunner & Muecke,
+ACM TOG 1990): lower point ids are lifted infinitesimally lower, which in
+particular breaks cocircular ties toward the diagonal through the smallest
+vertex id. Its triangles live in numpy arrays: an insertion is one vectorised
+scan of all of them plus Python work on its cavity, so this path is quadratic.
 """
 
 from __future__ import annotations
@@ -73,7 +78,11 @@ class PointCloud:
 
 
 def load_point_cloud(path) -> PointCloud:
-    """Read a headerless CSV of 2D or 3D coordinates, one point per row."""
+    """Read a headerless CSV of 2D or 3D coordinates, one point per row.
+
+    Blank lines and everything after a ``#`` are skipped; errors name the
+    line of the file.
+    """
     rows: list[list[float]] = []
     dim = None
     try:
@@ -82,7 +91,7 @@ def load_point_cloud(path) -> PointCloud:
         raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip().lstrip("﻿")
+            line = raw.split("#", 1)[0].strip().lstrip("﻿")
             if not line:
                 continue
             fields = line.split(",")
@@ -296,6 +305,86 @@ class _Triangulator:
         return int(np.count_nonzero(self.state[:self.size] == _GHOST))
 
 
+def _certified_qhull(pts: np.ndarray):
+    """Qhull's triangles, if one pass proves them the unique Delaunay triangulation.
+
+    Returns ``(ccw triangles, hull edge count, None)`` when every check holds,
+    else ``(None, 0, (check, count))`` naming the first check that failed and
+    how many of its items failed it:
+
+    1. ``qhull``: Qhull raised no error and every point is a triangle vertex;
+    2. ``orientation``: no triangle's orientation lies in the tie band;
+    3. ``incircle``: every interior edge is held reversed by its neighbour,
+       and the neighbour's far vertex is strictly outside the circumcircle;
+    4. ``hull``: the edges without a neighbour form one ccw cycle that turns
+       strictly left at every vertex and winds once.
+
+    Outside the band a value's float sign is its exact sign. By checks 2-4
+    the triangles are positive and their boundary is one convex polygon
+    traversed once, so they tile that polygon without overlap, and by check 1
+    it is the convex hull of all the points. A tiling whose interior edges
+    are all strictly locally Delaunay has strictly empty circumcircles, so it
+    is the unique Delaunay triangulation.
+    """
+    from scipy.spatial import Delaunay, QhullError  # 0.1 s to import; paid here only
+
+    n = len(pts)
+    try:
+        # Qhull's tolerances are absolute, so give it the cloud centred; the
+        # checks below read the original coordinates
+        dt = Delaunay(pts - (pts.min(axis=0) + pts.max(axis=0)) / 2)
+    except QhullError:
+        return None, 0, ("qhull", n)
+    tris, nb = dt.simplices.astype(np.int64), dt.neighbors.astype(np.int64)
+    # Qhull's "coplanar" points, left out for precision, are among these
+    unused = n - np.count_nonzero(np.bincount(tris.ravel(), minlength=n))
+    if unused:
+        return None, 0, ("qhull", unused)
+
+    x, y = pts[tris, 0].T, pts[tris, 1].T
+    det, mag = _orient_parts(x[0], y[0], x[1], y[1], x[2], y[2])
+    flat = np.abs(det) <= EPS_BAND * mag
+    if flat.any():
+        return None, 0, ("orientation", int(flat.sum()))
+    # turn clockwise rows ccw; neighbour i stays opposite vertex i
+    cw = det < 0
+    tris[cw], nb[cw] = tris[cw][:, [0, 2, 1]], nb[cw][:, [0, 2, 1]]
+    # the edge opposite vertex i runs nxt[:, i] -> prv[:, i] around its triangle
+    nxt, prv = np.roll(tris, -1, axis=1), np.roll(tris, -2, axis=1)
+
+    t, i = np.nonzero(nb >= 0)
+    j = nb[t, i]
+    u, w = nxt[t, i], prv[t, i]
+    held = (nxt[j] == w[:, None]) & (prv[j] == u[:, None])
+    k = held.argmax(axis=1)
+    det, mag = _incircle_parts(*(pts[tris[t, c]].T for c in range(3)), pts[tris[j, k]].T)
+    bad = ~held.any(axis=1) | (nb[j, k] != t) | (det >= -EPS_BAND * mag)
+    if bad.any():
+        pairs = np.unique(np.minimum(t, j)[bad] * len(tris) + np.maximum(t, j)[bad])
+        return None, 0, ("incircle", len(pairs))
+
+    t, i = np.nonzero(nb < 0)
+    u, w = nxt[t, i], prv[t, i]
+    h = len(u)
+    starts = np.full(n, -1)
+    starts[u] = np.arange(h)
+    if not np.array_equal(np.unique(u), np.sort(w)):  # one edge out of, one into each vertex
+        return None, 0, ("hull", h)
+    after = starts[w]
+    det, mag = _orient_parts(*pts[u].T, *pts[w].T, *pts[w[after]].T)
+    concave = det <= EPS_BAND * mag
+    if concave.any():
+        return None, 0, ("hull", int(concave.sum()))
+    # With every turn strictly left, an edge's direction leaves the lower
+    # half-plane for the upper one once per revolution of each cycle. The
+    # signs of rounded differences are exact.
+    dx, dy = (pts[w] - pts[u]).T
+    lower = (dy < 0) | ((dy == 0) & (dx < 0))
+    if np.count_nonzero(lower & ~lower[after]) != 1:
+        return None, 0, ("hull", h)
+    return tris, h, None
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Delaunay triangulation: simplices as ascending vertex-id tuples."""
@@ -305,19 +394,10 @@ class Triangulation:
     triangles: list[tuple[int, int, int]]
 
 
-def delaunay_2d(cloud: PointCloud) -> Triangulation:
-    """Delaunay triangulation of a 2D cloud by incremental insertion.
-
-    Cocircular ties are broken deterministically by the index perturbation,
-    which selects the diagonal through the smallest vertex id.
-    """
-    if cloud.dim != 2:
-        raise DimensionError(f"triangulation requires 2D points, got {cloud.dim}D")
-    pts = cloud.points
+def _incremental(pts: np.ndarray) -> _Triangulator:
+    """Insert every point in id order, starting from points 0, 1 and the
+    first point off their line."""
     n = len(pts)
-    if n < 3:
-        raise DegeneracyError(f"triangulation requires at least 3 points, got {n}")
-    # the seed triangle: points 0, 1 and the first point off their line
     third = next((i for i in range(2, n) if orient_sign(pts[0], pts[1], pts[i])), None)
     if third is None:
         raise DegeneracyError("input points are collinear")
@@ -326,22 +406,57 @@ def delaunay_2d(cloud: PointCloud) -> Triangulation:
     for pid in range(2, n):
         if pid != third:
             tr.insert(pid)
-    triangles = tr.finite_triangles()
+    return tr
 
+
+def delaunay_2d(cloud: PointCloud) -> Triangulation:
+    """Delaunay triangulation of a 2D cloud.
+
+    Qhull (``scipy.spatial.Delaunay``) triangulates first, and its triangles
+    are kept only when ``_certified_qhull`` proves them the unique Delaunay
+    triangulation; the tests check that the incremental code returns the same
+    triangles there. Otherwise (cocircular or collinear points, or values
+    within the tie band) incremental insertion runs, and the index
+    perturbation breaks ties: a cocircular quadrilateral takes the diagonal
+    through its smallest vertex id. The DEBUG log line names the path and,
+    on a fallback, the first certificate check that failed.
+    """
+    if cloud.dim != 2:
+        raise DimensionError(f"triangulation requires 2D points, got {cloud.dim}D")
+    pts = cloud.points
+    n = len(pts)
+    if n < 3:
+        raise DegeneracyError(f"triangulation requires at least 3 points, got {n}")
+    tris, hull, failed = _certified_qhull(pts)
+    if failed is None:
+        # every value of the certificate lies outside the tie band
+        path, ties, compactions = "qhull", 0, 0
+    else:
+        tr = _incremental(pts)
+        tris = np.asarray(tr.finite_triangles(), dtype=np.int64).reshape(-1, 3)
+        hull, ties, compactions = tr.hull_edges(), tr.ties, tr.compactions
+        path = "incremental (certificate check %s failed for %d)" % failed
+
+    tris = np.sort(tris, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
     covered = np.zeros(n, dtype=bool)
-    for t in triangles:
-        covered[list(t)] = True
+    covered[tris] = True
     if not covered.all():
         missing = int(np.flatnonzero(~covered)[0])
         raise DegeneracyError(f"point {missing} is not covered by any triangle")
-
-    edges = sorted({(t[i], t[j]) for t in triangles for i, j in ((0, 1), (0, 2), (1, 2))})
+    # ids are below n, so the keys a*n + b are exact and ascend with (a, b)
+    keys = np.unique(tris[:, [0, 0, 1]] * n + tris[:, [1, 2, 2]])
+    edges = np.column_stack(np.divmod(keys, n))
     logger.debug(
-        "delaunay_2d: %d points, %d triangles, %d hull edges, %d tie-band evaluations, "
-        "%d compactions",
-        n, len(triangles), tr.hull_edges(), tr.ties, tr.compactions,
+        "delaunay_2d: path=%s, %d points, %d triangles, %d hull edges, "
+        "%d tie-band evaluations, %d compactions",
+        path, n, len(tris), hull, ties, compactions,
     )
-    return Triangulation(points=pts, edges=edges, triangles=triangles)
+    return Triangulation(
+        points=pts,
+        edges=list(map(tuple, edges.tolist())),
+        triangles=list(map(tuple, tris.tolist())),
+    )
 
 
 # -- circumradius and filtration ---------------------------------------------

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
@@ -22,6 +22,7 @@ from hodgetrack import (
     load_point_cloud,
     save_point_cloud,
 )
+from hodgetrack import geometry
 from hodgetrack.geometry import orient_sign
 
 from conftest import random_cloud
@@ -45,6 +46,17 @@ def test_load_reports_line_number(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_point_cloud(p)
     assert ":2:" in str(exc.value)
+
+
+def test_load_skips_comments(tmp_path):
+    p = tmp_path / "commented.csv"
+    p.write_text("# header comment\n0.0,0.0\n# between rows\n1.0,2.0  # trailing\n\n3.5,-1.0\n")
+    assert load_point_cloud(p).points.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.5, -1.0]]
+    # error messages still count every physical line
+    p.write_text("# header comment\n0.0,0.0\n1.0,nope\n")
+    with pytest.raises(ParseError) as exc:
+        load_point_cloud(p)
+    assert ":3:" in str(exc.value)
 
 
 def test_load_rejects_mixed_dimensions(tmp_path):
@@ -271,6 +283,98 @@ def test_delaunay_logs_tie_band_evaluations(rng, caplog):
     assert ties >= 1
     assert hull == 4
     assert logged_ties(random_cloud(rng, 100), caplog)[0] == 0
+
+
+def test_delaunay_logs_path(rng, caplog):
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
+        delaunay_2d(PointCloud(square))
+        delaunay_2d(PointCloud(random_cloud(rng, 100)))
+    tie, generic = (r.getMessage() for r in caplog.records)
+    assert "path=incremental (certificate check incircle failed for 1)," in tie
+    assert "path=qhull," in generic
+
+
+# -- Qhull and its certificate -------------------------------------------------
+
+
+def incremental_triangles(pts: np.ndarray) -> list[tuple[int, int, int]]:
+    """The incremental triangulator alone: the reference for the Qhull path."""
+    return geometry._incremental(pts).finite_triangles()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 300),
+    grid=st.booleans(),
+    permute=st.booleans(),
+    eps=st.sampled_from([0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9]),
+)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-15)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-13)
+def test_delaunay_equals_incremental(seed, n, grid, permute, eps):
+    # uniform clouds of n points, or 12x12 grids with N(0, eps) jitter
+    rng = np.random.default_rng(seed)
+    if grid:
+        pts = integer_grid(12)
+        if permute:
+            pts = pts[rng.permutation(len(pts))]
+        pts = pts + rng.normal(0.0, eps, pts.shape)
+    else:
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    assert delaunay_2d(PointCloud(pts)).triangles == incremental_triangles(pts)
+
+
+def near_duplicate() -> np.ndarray:
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(12, 2))
+    return np.vstack([pts, pts[3] + [1e-14, 0.0]])
+
+
+def sliver_on_hull_edge() -> np.ndarray:
+    # point 2 lies 1e-13 inside the tilted hull edge 0 -> 1, within the band
+    inward = np.array([-0.6, 1.0]) / np.hypot(1.0, 0.6)
+    inner = [[0.2, 0.5], [0.5, 0.9], [0.8, 0.8], [0.45, 0.5], [0.0, 0.6]]
+    return np.vstack([[0.0, 0.0], [1.0, 0.6], [0.37, 0.222] + 1e-13 * inward, inner])
+
+
+# One input per certificate check that fails it. On each, Qhull's own triangles
+# differ from the incremental code's, so accepting them would change the output.
+FALLBACKS = {
+    # Qhull leaves the near-duplicate point out of its triangles
+    "qhull": near_duplicate,
+    # Qhull keeps the sliver (0, 1, 2); the tie rule puts point 2 on the hull
+    "orientation": sliver_on_hull_edge,
+    # cocircular: Qhull takes diagonal 1-3, the index perturbation 0-2
+    "incircle": lambda: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    # point 2 lies 1e-17 inside hull edge 0 -> 1; Qhull makes it a reflex hull vertex
+    "hull": lambda: np.array(
+        [[0.0, 0.0], [1.0, 0.0], [0.3713, 1e-17], [0.2, 0.5], [0.5, 0.9], [0.8, 0.6], [0.5, 0.4]]
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FALLBACKS))
+def test_failed_certificate_check_falls_back(check, caplog):
+    pts = FALLBACKS[check]()
+    reference = incremental_triangles(pts)
+    qhull = sorted(tuple(sorted(int(v) for v in row)) for row in Delaunay(pts).simplices)
+    assert qhull != reference
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
+        tri = delaunay_2d(PointCloud(pts))
+    assert tri.triangles == reference
+    assert f"path=incremental (certificate check {check} failed" in caplog.text
+
+
+def test_generic_cloud_needs_no_incremental_code(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the incremental triangulator ran")
+
+    monkeypatch.setattr(geometry, "_Triangulator", refuse)
+    tri = delaunay_2d(PointCloud(four_disks(2000, seed=11)[0]))
+    # sha256 of the incremental code's triangle list for this cloud
+    digest = "6f6b7a691f645e746638c7933d3ff295382f389d0232fb256fe0b72868a5fbed"
+    assert hashlib.sha256(repr(tri.triangles).encode()).hexdigest() == digest
 
 
 # -- filtration --------------------------------------------------------------
