@@ -1,22 +1,15 @@
 """Point cloud ingestion, 2D Delaunay triangulation, circumradius filtrations.
 
-The triangulation comes from Qhull (scipy.spatial.Delaunay) when one
-vectorised pass over its output, with the same predicates and tie band as
-below, proves it the unique Delaunay triangulation. That takes O(n log n)
-and covers point sets in general position.
-
-Otherwise (cocircular or collinear points, or any predicate value inside the
-band) it is incremental insertion with cavity retriangulation. The outside
-of the convex hull is covered by ghost triangles (a, b, -1), one per hull
-edge, that share a single ghost vertex -1. A ghost's circumdisk is the open
-half-plane beyond its edge, so it conflicts with a point strictly outside the
-edge's line or strictly inside the edge itself. Near-degenerate predicate
-values (within a relative band of 1e-12) are resolved by a deterministic
-index-based perturbation of the paraboloid lifting (Edelsbrunner & Muecke,
-ACM TOG 1990): lower point ids are lifted infinitesimally lower, which in
-particular breaks cocircular ties toward the diagonal through the smallest
-vertex id. Its triangles live in numpy arrays: an insertion is one vectorised
-scan of all of them plus Python work on its cavity, so this path is quadratic.
+The triangulation starts from one of the exact convex hull: Qhull's
+(scipy.spatial.Delaunay) when one vectorised pass shows it valid, else a
+lexicographic sweep. Lawson flips then make every interior edge locally
+Delaunay. The predicates are exact: a float value outside a relative band of
+1e-12 has the exact sign, and a value inside it, or one near overflow or
+underflow, is evaluated on integers.
+Exact ties (cocircular points) are broken by an index-based perturbation of
+the paraboloid lifting (Edelsbrunner & Muecke, ACM TOG 1990), which takes the
+diagonal through the smallest vertex id. On points in general position
+Qhull's triangles need no flip, and no Python loop runs.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-EPS_BAND = 1e-12  # relative half-width of the predicate tie band
+EPS_BAND = 1e-12  # relative half-width of the predicates' float filter
 
 
 # -- point clouds ------------------------------------------------------------
@@ -59,14 +52,15 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             bad = int(np.flatnonzero(~np.isfinite(pts).all(axis=1))[0])
             raise ParseError(f"point {bad} has a non-finite coordinate")
-        seen: dict[tuple, int] = {}
-        for i, row in enumerate(pts):
-            key = tuple(row)
-            if key in seen:
-                raise DuplicatePointError(
-                    f"points {seen[key]} and {i} are identical: {list(row)}"
-                )
-            seen[key] = i
+        # a stable sort puts each repeat right after an equal row of lower id
+        order = np.lexsort(pts.T[::-1])
+        repeats = order[1:][(pts[order[1:]] == pts[order[:-1]]).all(axis=1)]
+        if len(repeats):
+            i = int(repeats.min())
+            first = int(np.flatnonzero((pts == pts[i]).all(axis=1))[0])
+            raise DuplicatePointError(
+                f"points {first} and {i} are identical: {list(pts[i])}"
+            )
         object.__setattr__(self, "points", pts)
 
     @property
@@ -129,20 +123,12 @@ def save_point_cloud(points: np.ndarray, path) -> None:
 # -- predicates --------------------------------------------------------------
 
 
-def _orient_parts(ax, ay, bx, by, cx, cy):
-    t1 = (bx - ax) * (cy - ay)
-    t2 = (by - ay) * (cx - ax)
+def _orient_parts(a, b, c):
+    """Orientation determinant of (a, b, c), positive when ccw, and its
+    magnitude estimate."""
+    t1 = (b[0] - a[0]) * (c[1] - a[1])
+    t2 = (b[1] - a[1]) * (c[0] - a[0])
     return t1 - t2, abs(t1) + abs(t2)
-
-
-def orient_sign(pa, pb, pc) -> int:
-    """Sign of the ccw orientation of three points; 0 within the tie band."""
-    det, mag = _orient_parts(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
-    if det > EPS_BAND * mag:
-        return 1
-    if det < -EPS_BAND * mag:
-        return -1
-    return 0
 
 
 def _incircle_parts(a, b, c, p):
@@ -165,189 +151,155 @@ def _incircle_parts(a, b, c, p):
     return det, mag
 
 
-# slot states of _Triangulator
-_DEAD, _FINITE, _GHOST = 0, 1, 2
+def _dyadic(points) -> tuple[list[list[int]], int]:
+    """The points' coordinates times one common power of two, as exact
+    Python integers, and that power of two."""
+    ratios = [float(c).as_integer_ratio() for p in points for c in p]
+    scale = max([den for _, den in ratios])
+    ints = [num * (scale // den) for num, den in ratios]
+    d = len(points[0])
+    return [ints[i:i + d] for i in range(0, len(ints), d)], scale
 
 
-class _Triangulator:
-    """Incremental Delaunay of a fixed 2D point set.
+def _sure(det, mag):
+    """Where the float sign of a determinant is exact, for floats or arrays.
 
-    Triangles are ccw vertex triples. Id -1 is the ghost vertex: the ghost
-    triangle (a, b, -1) covers the outside of the hull edge a -> b, whose
-    triangle lies to its right. Slot i of the growable arrays holds triangle
-    verts[i], its state and, in column xy[:, i], the coordinates of its
-    vertices a, b, c (a ghost's c is the last point, id -1, and is never
-    read). Each insertion scans all slots once, kills the cavity's slots and
-    appends the new triangles, so the whole triangulation stays quadratic.
+    The rounding error of either determinant is below 2e-15 of its
+    magnitude estimate unless a product overflows, which makes the values
+    infinite or NaN, or underflows, which is ruled out above 1e-278.
+    """
+    return (abs(det) > EPS_BAND * mag) & (EPS_BAND * mag > 1e-290)
+
+
+def _sign(parts, *points) -> tuple[int, bool]:
+    """Exact sign of ``parts(*points)``'s determinant, and whether it took
+    exact arithmetic: where the float sign is not sure, the determinant is
+    evaluated on dyadic integers, and scaling every coordinate by one
+    positive number keeps its sign."""
+    det, mag = parts(*points)
+    exact = not _sure(det, mag)
+    if exact:
+        det = parts(*_dyadic(points)[0])[0]
+    return int(det > 0) - int(det < 0), exact
+
+
+def orient_sign(pa, pb, pc) -> int:
+    """Exact sign of the ccw orientation of three points."""
+    return _sign(_orient_parts, pa, pb, pc)[0]
+
+
+# -- Delaunay triangulation --------------------------------------------------
+
+
+class _Mesh:
+    """Ccw triangles over a point set, and exact predicates on its points.
+
+    ``third[u, v]`` is the third vertex w of the triangle (u, v, w), so each
+    triangle is stored under its three directed edges and an interior edge
+    u-v lies between ``third[u, v]`` and ``third[v, u]``. ``exact`` counts the
+    predicate evaluations that took exact arithmetic.
     """
 
-    def __init__(self, pts: np.ndarray, seed: tuple[int, int, int]):
-        self.pts = pts
-        self.verts = np.zeros((0, 3), dtype=np.int64)
-        self.state = np.zeros(0, dtype=np.int8)
-        self.xy = np.zeros((6, 0))  # ax, ay, bx, by, cx, cy
-        self.size = 0
-        self.ties = 0  # in-band evaluations settled by a tie rule
-        self.compactions = 0
-        a, b, c = seed
-        self._append([(a, b, c), (b, a, -1), (c, b, -1), (a, c, -1)])
+    def __init__(self, xy: np.ndarray):
+        self.xy = xy
+        self.pts = xy.tolist()
+        self.third: dict[tuple[int, int], int] = {}
+        self.exact = self.flips = 0
 
-    # -- tie-broken predicates ----------------------------------------
+    def sign(self, parts, *ids) -> int:
+        s, exact = _sign(parts, *[self.pts[i] for i in ids])
+        self.exact += exact
+        return s
 
-    def _incircle_finite(self, tri, pid, p) -> bool:
-        a, b, c = tri
-        det, mag = _incircle_parts(self.pts[a], self.pts[b], self.pts[c], p)
-        band = EPS_BAND * mag
-        if det > band:
-            return True
-        if det < -band:
-            return False
-        # Index-based perturbation: the z coordinate of the paraboloid lift
-        # of point i is lowered by eps^(i+1). The perturbed determinant sign
-        # is decided by the cofactor of the smallest id with nonzero
-        # orientation cofactor.
-        pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
-        cands = sorted(
-            [
-                (a, +1, (pb, pc, p)),
-                (b, -1, (pa, pc, p)),
-                (c, +1, (pa, pb, p)),
-                (pid, -1, (pa, pb, pc)),
-            ]
-        )
-        for _, parity, (x, y, z) in cands:
-            s = parity * orient_sign(x, y, z)
-            if s:
-                return s < 0
-        return False
+    def signs(self, parts, *ids: np.ndarray) -> np.ndarray:
+        """``sign`` over arrays of ids, with the float filter in one pass."""
+        det, mag = parts(*(self.xy[i].T for i in ids))
+        out = np.sign(det)
+        for k in np.flatnonzero(~_sure(det, mag)).tolist():
+            out[k] = self.sign(parts, *(int(i[k]) for i in ids))
+        return out
 
-    # -- insertion ----------------------------------------------------
+    def inside(self, a, b, c, d) -> bool:
+        """Whether point d lies inside the circumcircle of ccw triangle (a, b, c).
 
-    def insert(self, pid: int) -> None:
-        p = self.pts[pid]
-        px, py = p
-        state, xy = self.state[:self.size], self.xy[:, :self.size]
-        # _incircle_parts on every slot; only finite slots use the result
-        ax, ay, bx, by, cx, cy = xy - np.concatenate((p, p, p))[:, None]
-        za = ax ** 2 + ay ** 2
-        zb = bx ** 2 + by ** 2
-        zc = cx ** 2 + cy ** 2
-        byzc, cyzb, bxzc, cxzb, bxcy, cxby = by * zc, cy * zb, bx * zc, cx * zb, bx * cy, cx * by
-        det = ax * (byzc - cyzb) - ay * (bxzc - cxzb) + za * (bxcy - cxby)
-        mag = (
-            np.abs(ax) * (np.abs(byzc) + np.abs(cyzb))
-            + np.abs(ay) * (np.abs(bxzc) + np.abs(cxzb))
-            + za * (np.abs(bxcy) + np.abs(cxby))
-        )
-        band = EPS_BAND * mag
-        finite = state == _FINITE
-        bad = finite & (det > band)
-        ties = np.flatnonzero(finite & (np.abs(det) <= band))
-        # A ghost (a, b, -1) conflicts when orient_sign(a, b, p) > 0 or, in
-        # the tie band, when p lies strictly between a and b.
-        ghost = np.flatnonzero(state == _GHOST)
-        ex, ey, fx, fy = xy[:4, ghost]
-        t1 = (fx - ex) * (py - ey)
-        t2 = (fy - ey) * (px - ex)
-        odet = t1 - t2
-        oband = EPS_BAND * (np.abs(t1) + np.abs(t2))
-        on_line = np.abs(odet) <= oband
-        between = ((px - ex) * (fx - ex) + (py - ey) * (fy - ey) > 0) & (
-            (px - fx) * (ex - fx) + (py - fy) * (ey - fy) > 0
-        )
-        bad[ghost] = (odet > oband) | (on_line & between)
-        self.ties += len(ties) + int(on_line.sum())
-        for i, tri in zip(ties.tolist(), self.verts[ties].tolist()):
-            bad[i] = self._incircle_finite(tri, pid, p)
+        An exact tie is broken by an index perturbation of the paraboloid
+        lifting (Edelsbrunner & Muecke, ACM TOG 1990): the lift of point i is
+        lowered by eps^(i+1), so the cofactor of the smallest id whose
+        orientation is nonzero decides. A cocircular quadrilateral thus takes
+        the diagonal through its smallest id.
+        """
+        det = self.sign(_incircle_parts, a, b, c, d)
+        if det == 0:
+            cofactors = [(a, 1, (b, c, d)), (b, -1, (a, c, d)), (c, 1, (a, b, d)), (d, -1, (a, b, c))]
+            for _, parity, tri in sorted(cofactors):
+                det = -parity * self.sign(_orient_parts, *tri)
+                if det:
+                    break
+        return det > 0
 
-        cavity_idx = np.flatnonzero(bad)
-        if not len(cavity_idx):
-            raise DegeneracyError(f"point {pid} could not be located in the triangulation")
-        cavity = self.verts[cavity_idx].tolist()
-        state[cavity_idx] = _DEAD
-        edges = [e for a, b, c in cavity for e in ((a, b), (b, c), (c, a))]
-        dead_edges = set(edges)
-        # new triangles (u, v, pid), rotated so that the ghost vertex comes last
-        self._append([
-            (v, pid, u) if u < 0 else (pid, u, v) if v < 0 else (u, v, pid)
-            for u, v in edges
-            if (v, u) not in dead_edges
-        ])
+    def add(self, a, b, c) -> None:
+        """Store the ccw triangle (a, b, c)."""
+        third = self.third
+        third[a, b], third[b, c], third[c, a] = c, a, b
 
-    def _append(self, tris: list[tuple[int, int, int]]) -> None:
-        """Store ccw triangles whose ghost vertex, if any, comes last."""
-        k = len(tris)
-        if self.size + k > len(self.state):
-            self._compact(k)
-        s, self.size = self.size, self.size + k
-        self.verts[s:s + k] = tris
-        self.state[s:s + k] = [_GHOST if w < 0 else _FINITE for _, _, w in tris]
-        self.xy[:, s:s + k] = self.pts[self.verts[s:s + k]].reshape(k, 6).T
+    def flip(self, stack: list[tuple[int, int]]) -> None:
+        """Lawson flips (Lawson 1977) until every interior edge is locally Delaunay.
 
-    def _compact(self, extra: int) -> None:
-        """Move the live slots to the front, growing so that half stays free."""
-        live = np.flatnonzero(self.state[:self.size] != _DEAD)
-        cap = max(len(self.state), 2 * (len(live) + extra))
-        old = self.verts[live], self.state[live], self.xy[:, live]
-        self.verts = np.zeros((cap, 3), dtype=np.int64)
-        self.state = np.zeros(cap, dtype=np.int8)
-        self.xy = np.zeros((6, cap))
-        self.size = m = len(live)
-        self.verts[:m], self.state[:m], self.xy[:, :m] = old
-        self.compactions += 1
-
-    def finite_triangles(self) -> list[tuple[int, int, int]]:
-        n = self.size
-        tris = np.sort(self.verts[:n][self.state[:n] == _FINITE], axis=1)
-        return sorted(set(map(tuple, tris.tolist())))
-
-    def hull_edges(self) -> int:
-        return int(np.count_nonzero(self.state[:self.size] == _GHOST))
+        ``stack`` holds the edges to test. An edge whose far vertex lies
+        inside, which makes its quadrilateral strictly convex, is replaced by
+        the other diagonal, and the quadrilateral's four sides are tested
+        again. Each flip lowers the perturbed lifted surface, so the flips
+        end, at the unique Delaunay triangulation under the perturbation.
+        """
+        third = self.third
+        while stack:
+            a, b = stack.pop()
+            c, d = third.get((a, b)), third.get((b, a))
+            if c is None or d is None or not self.inside(a, b, c, d):
+                continue
+            del third[a, b], third[b, a]
+            self.add(c, a, d)
+            self.add(d, b, c)
+            stack += ((a, d), (d, b), (b, c), (c, a))
+            self.flips += 1
 
 
-def _certified_qhull(pts: np.ndarray):
-    """Qhull's triangles, if one pass proves them the unique Delaunay triangulation.
+def _qhull_start(mesh: _Mesh):
+    """Qhull's triangles turned ccw, if exact checks show they tile the convex hull.
 
-    Returns ``(ccw triangles, hull edge count, None)`` when every check holds,
-    else ``(None, 0, (check, count))`` naming the first check that failed and
-    how many of its items failed it:
-
-    1. ``qhull``: Qhull raised no error and every point is a triangle vertex;
-    2. ``orientation``: no triangle's orientation lies in the tie band;
-    3. ``incircle``: every interior edge is held reversed by its neighbour,
-       and the neighbour's far vertex is strictly outside the circumcircle;
-    4. ``hull``: the edges without a neighbour form one ccw cycle that turns
-       strictly left at every vertex and winds once.
-
-    Outside the band a value's float sign is its exact sign. By checks 2-4
-    the triangles are positive and their boundary is one convex polygon
-    traversed once, so they tile that polygon without overlap, and by check 1
-    it is the convex hull of all the points. A tiling whose interior edges
-    are all strictly locally Delaunay has strictly empty circumcircles, so it
-    is the unique Delaunay triangulation.
+    Returns ``(triangles, edges to test, None)``, or ``(None, None, (check,
+    count))`` naming the first check that failed and how many items failed
+    it: ``qhull`` (Qhull raised, or left points out), ``orientation`` (a
+    triangle has zero area), ``neighbours`` (an interior edge is not held
+    reversed by the neighbour Qhull names, or that one does not name it back)
+    or ``hull`` (the edges without a neighbour do not form one cycle that
+    turns left or goes straight on and winds once). Positive triangles whose
+    boundary is one convex polygon traversed once tile it, and with every
+    point a vertex that polygon is the convex hull. The edges to test are the
+    interior ones whose in-circle value is not surely negative; on points in
+    general position there are none.
     """
     from scipy.spatial import Delaunay, QhullError  # 0.1 s to import; paid here only
 
+    pts = mesh.xy
     n = len(pts)
     try:
         # Qhull's tolerances are absolute, so give it the cloud centred; the
         # checks below read the original coordinates
         dt = Delaunay(pts - (pts.min(axis=0) + pts.max(axis=0)) / 2)
     except QhullError:
-        return None, 0, ("qhull", n)
+        return None, None, ("qhull", n)
     tris, nb = dt.simplices.astype(np.int64), dt.neighbors.astype(np.int64)
     # Qhull's "coplanar" points, left out for precision, are among these
     unused = n - np.count_nonzero(np.bincount(tris.ravel(), minlength=n))
     if unused:
-        return None, 0, ("qhull", unused)
+        return None, None, ("qhull", unused)
 
-    x, y = pts[tris, 0].T, pts[tris, 1].T
-    det, mag = _orient_parts(x[0], y[0], x[1], y[1], x[2], y[2])
-    flat = np.abs(det) <= EPS_BAND * mag
-    if flat.any():
-        return None, 0, ("orientation", int(flat.sum()))
+    turn = mesh.signs(_orient_parts, *tris.T)
+    if not turn.all():
+        return None, None, ("orientation", int(np.count_nonzero(turn == 0)))
     # turn clockwise rows ccw; neighbour i stays opposite vertex i
-    cw = det < 0
+    cw = turn < 0
     tris[cw], nb[cw] = tris[cw][:, [0, 2, 1]], nb[cw][:, [0, 2, 1]]
     # the edge opposite vertex i runs nxt[:, i] -> prv[:, i] around its triangle
     nxt, prv = np.roll(tris, -1, axis=1), np.roll(tris, -2, axis=1)
@@ -357,11 +309,13 @@ def _certified_qhull(pts: np.ndarray):
     u, w = nxt[t, i], prv[t, i]
     held = (nxt[j] == w[:, None]) & (prv[j] == u[:, None])
     k = held.argmax(axis=1)
-    det, mag = _incircle_parts(*(pts[tris[t, c]].T for c in range(3)), pts[tris[j, k]].T)
-    bad = ~held.any(axis=1) | (nb[j, k] != t) | (det >= -EPS_BAND * mag)
+    bad = ~held.any(axis=1) | (nb[j, k] != t)
     if bad.any():
         pairs = np.unique(np.minimum(t, j)[bad] * len(tris) + np.maximum(t, j)[bad])
-        return None, 0, ("incircle", len(pairs))
+        return None, None, ("neighbours", len(pairs))
+    det, mag = _incircle_parts(*(pts[tris[t, c]].T for c in range(3)), pts[tris[j, k]].T)
+    test = (t < j) & ~(_sure(det, mag) & (det < 0))
+    stack = list(zip(u[test].tolist(), w[test].tolist()))
 
     t, i = np.nonzero(nb < 0)
     u, w = nxt[t, i], prv[t, i]
@@ -369,20 +323,58 @@ def _certified_qhull(pts: np.ndarray):
     starts = np.full(n, -1)
     starts[u] = np.arange(h)
     if not np.array_equal(np.unique(u), np.sort(w)):  # one edge out of, one into each vertex
-        return None, 0, ("hull", h)
+        return None, None, ("hull", h)
     after = starts[w]
-    det, mag = _orient_parts(*pts[u].T, *pts[w].T, *pts[w[after]].T)
-    concave = det <= EPS_BAND * mag
-    if concave.any():
-        return None, 0, ("hull", int(concave.sum()))
-    # With every turn strictly left, an edge's direction leaves the lower
-    # half-plane for the upper one once per revolution of each cycle. The
-    # signs of rounded differences are exact.
-    dx, dy = (pts[w] - pts[u]).T
-    lower = (dy < 0) | ((dy == 0) & (dx < 0))
+    turn = mesh.signs(_orient_parts, u, w, w[after])
+    # Going straight on, the two edges are parallel and point the same way.
+    # The signs of rounded differences are exact.
+    step = np.sign(pts[w] - pts[u])
+    bad = (turn < 0) | ((turn == 0) & (step != step[after]).any(axis=1))
+    if bad.any():
+        return None, None, ("hull", int(bad.sum()))
+    # With no turn to the right, an edge's direction leaves the lower
+    # half-plane for the upper one once per revolution of each cycle.
+    lower = (step[:, 1] < 0) | ((step[:, 1] == 0) & (step[:, 0] < 0))
     if np.count_nonzero(lower & ~lower[after]) != 1:
-        return None, 0, ("hull", h)
-    return tris, h, None
+        return None, None, ("hull", h)
+    return tris, stack, None
+
+
+def _sweep(mesh: _Mesh) -> None:
+    """Triangulate the exact convex hull by a lexicographic sweep.
+
+    The points are taken in (x, y) order. The first one off the line of the
+    leading collinear run is joined to every edge of that run. Every later
+    point lies outside the hull so far and is joined to the hull edges it
+    sees strictly, found by walking both ways from the previous point, which
+    is a hull vertex. A point on the line of a hull edge thus stays on the
+    hull.
+    """
+    order = np.lexsort(mesh.xy.T[::-1]).tolist()
+    for k in range(2, len(order)):
+        side = mesh.sign(_orient_parts, order[0], order[1], order[k])
+        if side:
+            break
+    else:
+        raise DegeneracyError("input points are collinear")
+    last = order[k]
+    run = order[:k] if side > 0 else order[k - 1::-1]
+    for u, v in zip(run, run[1:]):
+        mesh.add(u, v, last)
+    # ccw successor and predecessor of each hull vertex
+    hull = run + [last]
+    nxt = dict(zip(hull, hull[1:] + hull[:1]))
+    prv = {v: u for u, v in nxt.items()}
+    for p in order[k + 1:]:
+        hi = lo = last
+        while mesh.sign(_orient_parts, hi, nxt[hi], p) < 0:
+            mesh.add(nxt[hi], hi, p)
+            hi = nxt[hi]
+        while mesh.sign(_orient_parts, prv[lo], lo, p) < 0:
+            mesh.add(lo, prv[lo], p)
+            lo = prv[lo]
+        nxt[lo], prv[p], nxt[p], prv[hi] = p, lo, hi, p
+        last = p
 
 
 @dataclass(frozen=True)
@@ -394,32 +386,16 @@ class Triangulation:
     triangles: list[tuple[int, int, int]]
 
 
-def _incremental(pts: np.ndarray) -> _Triangulator:
-    """Insert every point in id order, starting from points 0, 1 and the
-    first point off their line."""
-    n = len(pts)
-    third = next((i for i in range(2, n) if orient_sign(pts[0], pts[1], pts[i])), None)
-    if third is None:
-        raise DegeneracyError("input points are collinear")
-    a, b = (0, 1) if orient_sign(pts[0], pts[1], pts[third]) > 0 else (1, 0)
-    tr = _Triangulator(pts, (a, b, third))
-    for pid in range(2, n):
-        if pid != third:
-            tr.insert(pid)
-    return tr
-
-
 def delaunay_2d(cloud: PointCloud) -> Triangulation:
     """Delaunay triangulation of a 2D cloud.
 
-    Qhull (``scipy.spatial.Delaunay``) triangulates first, and its triangles
-    are kept only when ``_certified_qhull`` proves them the unique Delaunay
-    triangulation; the tests check that the incremental code returns the same
-    triangles there. Otherwise (cocircular or collinear points, or values
-    within the tie band) incremental insertion runs, and the index
-    perturbation breaks ties: a cocircular quadrilateral takes the diagonal
-    through its smallest vertex id. The DEBUG log line names the path and,
-    on a fallback, the first certificate check that failed.
+    It starts from a triangulation of the exact convex hull with every point
+    as a vertex: Qhull's when ``_qhull_start``'s checks hold, else
+    ``_sweep``'s. Lawson flips under exact predicates then give the unique
+    Delaunay triangulation under the index perturbation, whichever start ran:
+    a cocircular quadrilateral takes the diagonal through its smallest id.
+    The DEBUG log line names the start and, for the sweep, the first Qhull
+    check that failed.
     """
     if cloud.dim != 2:
         raise DimensionError(f"triangulation requires 2D points, got {cloud.dim}D")
@@ -427,30 +403,30 @@ def delaunay_2d(cloud: PointCloud) -> Triangulation:
     n = len(pts)
     if n < 3:
         raise DegeneracyError(f"triangulation requires at least 3 points, got {n}")
-    tris, hull, failed = _certified_qhull(pts)
+    mesh = _Mesh(pts)
+    tris, stack, failed = _qhull_start(mesh)
     if failed is None:
-        # every value of the certificate lies outside the tie band
-        path, ties, compactions = "qhull", 0, 0
+        start = "qhull"
+        if stack:
+            for a, b, c in tris.tolist():
+                mesh.add(a, b, c)
     else:
-        tr = _incremental(pts)
-        tris = np.asarray(tr.finite_triangles(), dtype=np.int64).reshape(-1, 3)
-        hull, ties, compactions = tr.hull_edges(), tr.ties, tr.compactions
-        path = "incremental (certificate check %s failed for %d)" % failed
+        start = "sweep (qhull check %s failed for %d)" % failed
+        _sweep(mesh)
+        stack = [e for e in mesh.third if e[0] < e[1]]
+    if stack:
+        mesh.flip(stack)
+        tris = np.array([(u, v, w) for (u, v), w in mesh.third.items() if u < v and u < w])
 
     tris = np.sort(tris, axis=1)
     tris = tris[np.lexsort(tris.T[::-1])]
-    covered = np.zeros(n, dtype=bool)
-    covered[tris] = True
-    if not covered.all():
-        missing = int(np.flatnonzero(~covered)[0])
-        raise DegeneracyError(f"point {missing} is not covered by any triangle")
     # ids are below n, so the keys a*n + b are exact and ascend with (a, b)
     keys = np.unique(tris[:, [0, 0, 1]] * n + tris[:, [1, 2, 2]])
     edges = np.column_stack(np.divmod(keys, n))
     logger.debug(
-        "delaunay_2d: path=%s, %d points, %d triangles, %d hull edges, "
-        "%d tie-band evaluations, %d compactions",
-        path, n, len(tris), hull, ties, compactions,
+        "delaunay_2d: start=%s, %d points, %d triangles, %d hull edges, "
+        "%d flips, %d exact evaluations",
+        start, n, len(tris), 2 * len(edges) - 3 * len(tris), mesh.flips, mesh.exact,
     )
     return Triangulation(
         points=pts,
@@ -488,20 +464,38 @@ def _circumradii(v: np.ndarray) -> np.ndarray:
     """Circumradii of a (T, m, d) stack of simplices with 2 <= m <= d + 1.
 
     The arithmetic is stacked matrix products, which round as the per-simplex
-    products do; einsum or norm(axis=...) would not.
+    products do; einsum or norm(axis=...) would not. A simplex whose Gram
+    determinant lies in the band takes its radius from ``_exact_circumradius``
+    instead, and the others' values do not depend on it.
     """
     u = v[:, 1:] - v[:, :1]
     gram = u @ u.transpose(0, 2, 1)
     diag = np.diagonal(gram, axis1=1, axis2=2)
     thresh = (EPS_BAND * np.prod(np.sqrt(diag), axis=1)) ** 2
-    flat = np.linalg.det(gram) <= thresh
-    if flat.any():
-        raise DegeneracyError(
-            f"circumradius of affinely dependent vertices {v[np.argmax(flat)].tolist()}"
-        )
+    flat = np.flatnonzero(np.linalg.det(gram) <= thresh)
+    exact = [_exact_circumradius(v[i]) for i in flat.tolist()]
+    if len(flat):
+        gram = gram.copy()  # diag is a view of the original
+        gram[flat] = np.eye(gram.shape[1])
     x = np.linalg.solve(2.0 * gram, diag[..., None])[..., 0]
     c = (x[:, None, :] @ u)[:, 0]
-    return np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
+    r = np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
+    r[flat] = exact
+    return r
+
+
+def _exact_circumradius(v: np.ndarray) -> float:
+    """Circumradius of a triangle from R^2 = |ab|^2 |bc|^2 |ca|^2 / (4 G) on
+    dyadic integers, where G, the Gram determinant, is 4 area^2. Integer true
+    division rounds correctly."""
+    if len(v) == 3:
+        (a, b, c), scale = _dyadic(v)
+        ab, bc, ca = ([q - p for p, q in zip(s, e)] for s, e in ((a, b), (b, c), (c, a)))
+        lab, lbc, lca = (sum(t * t for t in e) for e in (ab, bc, ca))
+        gram = lab * lca - sum(p * q for p, q in zip(ab, ca)) ** 2
+        if gram:
+            return math.sqrt(lab * lbc * lca / (4 * gram * scale * scale))
+    raise DegeneracyError(f"circumradius of affinely dependent vertices {v.tolist()}")
 
 
 def filtration_values(tri: Triangulation) -> FilteredComplex:

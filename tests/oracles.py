@@ -96,6 +96,70 @@ def in_circle_violations(points: np.ndarray, triangles) -> list:
     return bad
 
 
+def _orient(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def local_delaunay_violations(points: np.ndarray, triangles) -> list:
+    """Why the triangles are not a Delaunay triangulation of the points, found
+    edge by edge in exact integer arithmetic; empty when they are one.
+
+    Checks that every point is a vertex, every triangle has positive area,
+    each edge borders one triangle or two on opposite sides, the one-triangle
+    edges form the convex hull with collinear points as vertices, and no
+    interior edge has its far vertex strictly inside the circumcircle of its
+    other triangle. Such triangles tile the hull, and a tiling whose edges
+    are all locally Delaunay is Delaunay (Delaunay's lemma).
+    """
+    pts = dyadic_integers(points)
+    bad = []
+    missing = set(range(len(pts))) - {v for tri in triangles for v in tri}
+    if missing:
+        bad.append(("uncovered", min(missing)))
+    far = {}  # directed edge of a ccw triangle -> its third vertex
+    for tri in triangles:
+        a, b, c = tri
+        area = _orient(pts[a], pts[b], pts[c])
+        if area == 0:
+            bad.append(("flat", tuple(tri)))
+            continue
+        if area < 0:
+            b, c = c, b
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            if (u, v) in far:
+                bad.append(("overlap", (u, v)))
+            far[u, v] = w
+    # monotone chain, keeping collinear points on the hull
+    order = sorted(range(len(pts)), key=lambda i: pts[i])
+    chains = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            while len(chain) >= 2 and _orient(pts[chain[-2]], pts[chain[-1]], pts[i]) < 0:
+                chain.pop()
+            chain.append(i)
+        chains.append(chain[:-1])
+    hull = chains[0] + chains[1]
+    boundary = {e for e in far if e[::-1] not in far}
+    if boundary != set(zip(hull, hull[1:] + hull[:1])):
+        bad.append(("hull", sorted(boundary)))
+    for (u, v), w in far.items():
+        x = far.get((v, u))
+        if x is not None and u < v:
+            rows = []
+            for q in (pts[u], pts[v], pts[w]):
+                dx, dy = q[0] - pts[x][0], q[1] - pts[x][1]
+                rows.append((dx, dy, dx * dx + dy * dy))
+            det = (
+                rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+            )
+            if det > 0:
+                bad.append(("incircle", (u, v)))
+    return bad
+
+
 def closure_defects(simplices_by_dim: dict) -> list:
     """Faces that are missing from a complex given as {dim: [tuples]}."""
     have = {s for sims in simplices_by_dim.values() for s in sims}

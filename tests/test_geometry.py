@@ -22,11 +22,12 @@ from hodgetrack import (
     load_point_cloud,
     save_point_cloud,
 )
-from hodgetrack import geometry
+from hodgetrack import geometry, import_complex
+from hodgetrack.cli import main
 from hodgetrack.geometry import orient_sign
 
 from conftest import random_cloud
-from oracles import in_circle_violations
+from oracles import in_circle_violations, local_delaunay_violations
 
 
 # -- input handling ----------------------------------------------------------
@@ -78,6 +79,15 @@ def test_duplicate_points_named():
     assert "0" in msg and "2" in msg
 
 
+def test_duplicate_named_by_first_repeat():
+    # the first row that repeats an earlier one, and that earlier row
+    a, b = [0.0, 0.0], [1.0, 1.0]
+    for rows, pair in (([a, b, a, b], "points 0 and 2"), ([a, b, b, a], "points 1 and 2"),
+                       ([[0.0, 1.0], [-0.0, 1.0]], "points 0 and 1")):
+        with pytest.raises(DuplicatePointError, match=pair):
+            PointCloud(np.array(rows))
+
+
 def test_nonfinite_rejected(tmp_path):
     p = tmp_path / "inf.csv"
     p.write_text("0.0,0.0\ninf,1.0\n")
@@ -113,6 +123,13 @@ def test_circumradius_rigid_motion_invariant(rng):
         assert abs(circumradius(tri) - circumradius(moved)) < 1e-9 * max(
             1.0, circumradius(tri)
         )
+
+
+def test_circumradius_of_sliver_is_exact():
+    # sin^2 of the angle at (0, 0) is below 1e-24, inside the band; the
+    # exact radius (1 + h^2) / 2h rounds to 2^44
+    h = 2.0**-45
+    assert circumradius(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, h]])) == 2.0**44
 
 
 def test_circumradius_degenerate():
@@ -218,9 +235,7 @@ def permuted_grid12() -> np.ndarray:
 
 # sha256 of repr(delaunay_2d(...).triangles). Every downstream file depends on
 # these lists, so a change to how triangles are stored or scanned must leave
-# them alone. Only inputs in general position or with exact ties are pinned:
-# near-tie inputs (within the 1e-12 band of cocircular) are left free for
-# exact predicates to change.
+# them alone. Only inputs in general position or with exact ties are pinned.
 PINNED_TRIANGLES = {
     "four_disks_400_seed11": (
         lambda: four_disks(400, seed=11)[0],
@@ -263,18 +278,18 @@ def test_delaunay_matches_qhull_on_random_clouds(seed, n):
 
 
 def logged_ties(pts: np.ndarray, caplog) -> tuple[int, int]:
-    """Tie-band evaluations and hull edges from the delaunay_2d DEBUG line."""
+    """Exact (in-band) evaluations and hull edges from the delaunay_2d DEBUG line."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
         tri = delaunay_2d(PointCloud(pts))
     (record,) = caplog.records
     msg = record.getMessage()
     assert f"{len(pts)} points, {len(tri.triangles)} triangles" in msg
-    assert re.search(r"\d+ compactions", msg)
+    assert re.search(r"\d+ flips", msg)
     hull = int(re.search(r"(\d+) hull edges", msg).group(1))
     # a triangulated disk: interior edges bound two triangles, hull edges one
     assert 2 * len(tri.edges) == 3 * len(tri.triangles) + hull
-    return int(re.search(r"(\d+) tie-band evaluations", msg).group(1)), hull
+    return int(re.search(r"(\d+) exact evaluations", msg).group(1)), hull
 
 
 def test_delaunay_logs_tie_band_evaluations(rng, caplog):
@@ -290,17 +305,23 @@ def test_delaunay_logs_path(rng, caplog):
     with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
         delaunay_2d(PointCloud(square))
         delaunay_2d(PointCloud(random_cloud(rng, 100)))
-    tie, generic = (r.getMessage() for r in caplog.records)
-    assert "path=incremental (certificate check incircle failed for 1)," in tie
-    assert "path=qhull," in generic
+        delaunay_2d(PointCloud(near_duplicate()))
+    tie, generic, dropped = (r.getMessage() for r in caplog.records)
+    assert "start=qhull," in tie and ", 1 flips, 1 exact evaluations" in tie
+    assert "start=qhull," in generic and ", 0 flips, 0 exact evaluations" in generic
+    assert "start=sweep (qhull check qhull failed for 1)," in dropped
 
 
-# -- Qhull and its certificate -------------------------------------------------
+# -- the start and the flips ---------------------------------------------------
 
 
-def incremental_triangles(pts: np.ndarray) -> list[tuple[int, int, int]]:
-    """The incremental triangulator alone: the reference for the Qhull path."""
-    return geometry._incremental(pts).finite_triangles()
+def jittered_grid(m: int, eps: float, seed: int, permute: bool) -> np.ndarray:
+    """An m x m integer grid, permuted or not, plus N(0, eps) jitter."""
+    rng = np.random.default_rng(seed)
+    pts = integer_grid(m)
+    if permute:
+        pts = pts[rng.permutation(len(pts))]
+    return pts + rng.normal(0.0, eps, pts.shape)
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,18 +333,48 @@ def incremental_triangles(pts: np.ndarray) -> list[tuple[int, int, int]]:
     eps=st.sampled_from([0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9]),
 )
 @example(seed=0, n=144, grid=True, permute=False, eps=1e-15)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-14)
 @example(seed=0, n=144, grid=True, permute=False, eps=1e-13)
-def test_delaunay_equals_incremental(seed, n, grid, permute, eps):
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-12)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-11)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-10)
+@example(seed=0, n=144, grid=True, permute=False, eps=1e-9)
+def test_delaunay_exact_on_clouds_and_jittered_grids(seed, n, grid, permute, eps):
     # uniform clouds of n points, or 12x12 grids with N(0, eps) jitter
-    rng = np.random.default_rng(seed)
     if grid:
-        pts = integer_grid(12)
-        if permute:
-            pts = pts[rng.permutation(len(pts))]
-        pts = pts + rng.normal(0.0, eps, pts.shape)
+        pts = jittered_grid(12, eps, seed, permute)
     else:
-        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    assert delaunay_2d(PointCloud(pts)).triangles == incremental_triangles(pts)
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+    tri = delaunay_2d(PointCloud(pts))
+    assert in_circle_violations(pts, tri.triangles) == []
+    assert {v for t in tri.triangles for v in t} == set(range(len(pts)))
+    assert local_delaunay_violations(pts, tri.triangles) == []
+
+
+LOCAL_ORACLE_INPUTS = {
+    "grid30": lambda: integer_grid(30),
+    "grid70": lambda: integer_grid(70),
+    "grid40_jitter_1e-15": lambda: jittered_grid(40, 1e-15, 0, False),
+    "four_disks_2000_seed11": lambda: four_disks(2000, seed=11)[0],
+    "four_disks_2000_seed5": lambda: four_disks(2000, seed=5)[0],
+    "four_disks_2000_seed3": lambda: four_disks(2000, seed=3)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_ORACLE_INPUTS))
+def test_delaunay_passes_local_oracle(name):
+    pts = LOCAL_ORACLE_INPUTS[name]()
+    assert local_delaunay_violations(pts, delaunay_2d(PointCloud(pts)).triangles) == []
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e150])
+def test_delaunay_exact_at_extreme_scales(scale):
+    # products underflow or overflow here, so float signs are not sure even
+    # outside the band
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        tri = delaunay_2d(PointCloud(pts))
+    assert local_delaunay_violations(pts, tri.triangles) == []
 
 
 def near_duplicate() -> np.ndarray:
@@ -338,43 +389,91 @@ def sliver_on_hull_edge() -> np.ndarray:
     return np.vstack([[0.0, 0.0], [1.0, 0.6], [0.37, 0.222] + 1e-13 * inward, inner])
 
 
-# One input per certificate check that fails it. On each, Qhull's own triangles
-# differ from the incremental code's, so accepting them would change the output.
-FALLBACKS = {
+# One input per Qhull-start check, keyed by the check it exercises, with the
+# start the DEBUG line must name: the sweep runs where that check fails.
+STARTS = {
     # Qhull leaves the near-duplicate point out of its triangles
-    "qhull": near_duplicate,
-    # Qhull keeps the sliver (0, 1, 2); the tie rule puts point 2 on the hull
-    "orientation": sliver_on_hull_edge,
-    # cocircular: Qhull takes diagonal 1-3, the index perturbation 0-2
-    "incircle": lambda: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "qhull": (near_duplicate, "sweep (qhull check qhull failed for 1)"),
+    # the orientation of Qhull's sliver (0, 1, 2) lies in the band but is
+    # exactly positive, so the sliver is kept
+    "orientation": (sliver_on_hull_edge, "qhull"),
+    # Qhull gives one triangle of this grid exactly zero area
+    "orientation_zero": (
+        lambda: jittered_grid(6, 1e-15, 7, True), "sweep (qhull check orientation failed for 1)"
+    ),
+    # cocircular: Qhull takes diagonal 1-3, and one flip gives 0-2
+    "incircle": (
+        lambda: np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        "qhull, 4 points, 2 triangles, 4 hull edges, 1 flips",
+    ),
+    # Qhull's neighbour lists for this grid do not match its triangles, whose
+    # orientations and hull pass; taken as they are, they overlap
+    "neighbours": (
+        lambda: jittered_grid(4, 1e-14, 107, True), "sweep (qhull check neighbours failed for 3)"
+    ),
     # point 2 lies 1e-17 inside hull edge 0 -> 1; Qhull makes it a reflex hull vertex
-    "hull": lambda: np.array(
-        [[0.0, 0.0], [1.0, 0.0], [0.3713, 1e-17], [0.2, 0.5], [0.5, 0.9], [0.8, 0.6], [0.5, 0.4]]
+    "hull": (
+        lambda: np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.3713, 1e-17], [0.2, 0.5], [0.5, 0.9], [0.8, 0.6], [0.5, 0.4]]
+        ),
+        "sweep (qhull check hull failed for 1)",
     ),
 }
 
+# the triangle lists of three of the inputs above
+PINNED_STARTS = {
+    "qhull": [
+        (0, 1, 7), (0, 1, 9), (0, 7, 8), (0, 8, 11), (0, 9, 11), (1, 5, 7), (1, 9, 10),
+        (2, 4, 12), (2, 8, 11), (2, 11, 12), (3, 4, 9), (3, 4, 12), (3, 9, 11),
+        (3, 11, 12), (4, 9, 10), (5, 6, 7), (6, 7, 8),
+    ],
+    "incircle": [(0, 1, 2), (0, 2, 3)],
+    "hull": [(0, 1, 2), (0, 2, 3), (1, 2, 6), (1, 5, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6)],
+}
 
-@pytest.mark.parametrize("check", sorted(FALLBACKS))
+
+@pytest.mark.parametrize("check", sorted(STARTS))
 def test_failed_certificate_check_falls_back(check, caplog):
-    pts = FALLBACKS[check]()
-    reference = incremental_triangles(pts)
-    qhull = sorted(tuple(sorted(int(v) for v in row)) for row in Delaunay(pts).simplices)
-    assert qhull != reference
+    cloud, start = STARTS[check]
+    pts = cloud()
     with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
         tri = delaunay_2d(PointCloud(pts))
-    assert tri.triangles == reference
-    assert f"path=incremental (certificate check {check} failed" in caplog.text
+    assert f"start={start}," in caplog.text
+    assert local_delaunay_violations(pts, tri.triangles) == []
+    assert in_circle_violations(pts, tri.triangles) == []
+    if check in PINNED_STARTS:
+        assert tri.triangles == PINNED_STARTS[check]
+    if check == "orientation":
+        # the sliver covers the strip between point 2 and hull edge 0 -> 1
+        assert (0, 1, 2) in tri.triangles
 
 
-def test_generic_cloud_needs_no_incremental_code(monkeypatch):
+def test_generic_cloud_needs_no_sweep_or_exact_arithmetic(monkeypatch, caplog):
     def refuse(*args):
-        raise AssertionError("the incremental triangulator ran")
+        raise AssertionError("the sweep or exact arithmetic ran")
 
-    monkeypatch.setattr(geometry, "_Triangulator", refuse)
-    tri = delaunay_2d(PointCloud(four_disks(2000, seed=11)[0]))
-    # sha256 of the incremental code's triangle list for this cloud
+    monkeypatch.setattr(geometry, "_sweep", refuse)
+    monkeypatch.setattr(geometry, "_dyadic", refuse)
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
+        tri = delaunay_2d(PointCloud(four_disks(2000, seed=11)[0]))
+    assert "start=qhull," in caplog.text and ", 0 flips, 0 exact evaluations" in caplog.text
+    # sha256 of this cloud's triangle list
     digest = "6f6b7a691f645e746638c7933d3ff295382f389d0232fb256fe0b72868a5fbed"
     assert hashlib.sha256(repr(tri.triangles).encode()).hexdigest() == digest
+
+
+def test_triangulate_sliver(tmp_path):
+    # the float Gram matrix of the sliver (0, 1, 2) is exactly singular, so
+    # its circumradius takes exact arithmetic
+    src, out = tmp_path / "sliver.csv", tmp_path / "sliver.json"
+    save_point_cloud(sliver_on_hull_edge(), src)
+    assert main(["triangulate", str(src), "--out", str(out)]) == 0
+    fc = import_complex(out)
+    assert (0, 1, 2) in fc.simplices(2)
+    value = {s: float(v) for k in fc.dims() for s, v in zip(fc.simplices(k), fc.values(k))}
+    assert all(math.isfinite(v) for v in value.values())
+    for s, v in value.items():
+        assert all(value[s[:i] + s[i + 1:]] <= v for i in range(len(s)) if len(s) > 1)
 
 
 # -- filtration --------------------------------------------------------------
