@@ -167,14 +167,10 @@ def embed_rows(vectors: np.ndarray) -> np.ndarray:
     keep = norms > EMBED_ZERO_COEFF * norms.max(initial=0.0)
     e[keep] /= norms[keep, None]
     e[~keep] = 0.0
-    for i in range(e.shape[0]):
-        row = e[i]
-        s = np.sign(row.sum())
-        if s == 0.0:
-            j = int(np.argmax(np.abs(row)))
-            s = np.sign(row[j])
-        if s < 0.0:
-            e[i] = -row
+    sign = np.sign(e.sum(axis=1))
+    peak = e[np.arange(len(e)), np.argmax(np.abs(e), axis=1)]
+    sign[sign == 0.0] = np.sign(peak[sign == 0.0])
+    e[sign < 0.0] *= -1.0
     return e
 
 
@@ -221,16 +217,16 @@ def node_clustering(assign: ClusterAssignment, sl: ComplexSlice) -> tuple[list[i
     simplices; ties go to the smallest cluster id, isolated vertices get
     UNASSIGNED. Returns (vertex ids, labels)."""
     vertex_ids = [s[0] for s in sl.simplices(0)]
-    votes: dict[int, dict[int, int]] = {v: {} for v in vertex_ids}
-    for s, lab in zip(assign.simplices, assign.labels):
-        for v in s:
-            if v in votes:
-                votes[v][int(lab)] = votes[v].get(int(lab), 0) + 1
-    labels = np.full(len(vertex_ids), UNASSIGNED, dtype=int)
-    for i, v in enumerate(vertex_ids):
-        if votes[v]:
-            top = max(votes[v].values())
-            labels[i] = min(lab for lab, n in votes[v].items() if n == top)
+    verts = np.asarray(vertex_ids, dtype=np.int64)  # ascending, in parent order
+    members = np.asarray(assign.simplices, dtype=np.int64).reshape(len(assign.labels), -1)
+    owner = np.broadcast_to(np.asarray(assign.labels)[:, None], members.shape)
+    rows = np.searchsorted(verts, members)
+    inside = rows < len(verts)
+    inside[inside] = verts[rows[inside]] == members[inside]
+    votes = np.zeros((len(verts), int(np.max(assign.labels, initial=0)) + 1), dtype=np.int64)
+    np.add.at(votes, (rows[inside], owner[inside]), 1)
+    # argmax takes the first of tied counts, the smallest cluster id
+    labels = np.where(votes.any(axis=1), votes.argmax(axis=1), UNASSIGNED)
     return vertex_ids, labels
 
 

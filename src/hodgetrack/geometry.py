@@ -198,11 +198,17 @@ class _Mesh:
     triangle is stored under its three directed edges and an interior edge
     u-v lies between ``third[u, v]`` and ``third[v, u]``. ``exact`` counts the
     predicate evaluations that took exact arithmetic.
+
+    Qhull and the vectorised float filters read ``unit``, the coordinates
+    times the power of two that brings the largest into [0.5, 1), so that no
+    product overflows at any scale of the cloud. Signs do not change under
+    it, and exact evaluations read the coordinates as given.
     """
 
     def __init__(self, xy: np.ndarray):
         self.xy = xy
         self.pts = xy.tolist()
+        self.unit = np.ldexp(xy, -np.frexp(np.abs(xy).max())[1])
         self.third: dict[tuple[int, int], int] = {}
         self.exact = self.flips = 0
 
@@ -213,7 +219,7 @@ class _Mesh:
 
     def signs(self, parts, *ids: np.ndarray) -> np.ndarray:
         """``sign`` over arrays of ids, with the float filter in one pass."""
-        det, mag = parts(*(self.xy[i].T for i in ids))
+        det, mag = parts(*(self.unit[i].T for i in ids))
         out = np.sign(det)
         for k in np.flatnonzero(~_sure(det, mag)).tolist():
             out[k] = self.sign(parts, *(int(i[k]) for i in ids))
@@ -281,7 +287,7 @@ def _qhull_start(mesh: _Mesh):
     """
     from scipy.spatial import Delaunay, QhullError  # 0.1 s to import; paid here only
 
-    pts = mesh.xy
+    pts = mesh.unit
     n = len(pts)
     try:
         # Qhull's tolerances are absolute, so give it the cloud centred; the
@@ -327,8 +333,8 @@ def _qhull_start(mesh: _Mesh):
     after = starts[w]
     turn = mesh.signs(_orient_parts, u, w, w[after])
     # Going straight on, the two edges are parallel and point the same way.
-    # The signs of rounded differences are exact.
-    step = np.sign(pts[w] - pts[u])
+    # The signs of rounded differences of the given coordinates are exact.
+    step = np.sign(mesh.xy[w] - mesh.xy[u])
     bad = (turn < 0) | ((turn == 0) & (step != step[after]).any(axis=1))
     if bad.any():
         return None, None, ("hull", int(bad.sum()))
@@ -464,16 +470,22 @@ def _circumradii(v: np.ndarray) -> np.ndarray:
     """Circumradii of a (T, m, d) stack of simplices with 2 <= m <= d + 1.
 
     The arithmetic is stacked matrix products, which round as the per-simplex
-    products do; einsum or norm(axis=...) would not. A simplex whose Gram
-    determinant lies in the band takes its radius from ``_exact_circumradius``
-    instead, and the others' values do not depend on it.
+    products do; einsum or norm(axis=...) would not. Each simplex is first
+    scaled by the power of two that brings its largest offset coordinate
+    into [0.5, 1), and its radius is scaled back: both steps are exact, and in
+    between no square overflows or underflows. A simplex whose Gram
+    determinant lies in the band takes its radius from
+    ``_exact_circumradius`` instead, and the others' values do not depend on
+    it.
     """
     u = v[:, 1:] - v[:, :1]
+    e = np.frexp(np.abs(u).max(axis=(1, 2), initial=0.0))[1]
+    u = np.ldexp(u, -e[:, None, None])
     gram = u @ u.transpose(0, 2, 1)
     diag = np.diagonal(gram, axis1=1, axis2=2)
     thresh = (EPS_BAND * np.prod(np.sqrt(diag), axis=1)) ** 2
     flat = np.flatnonzero(np.linalg.det(gram) <= thresh)
-    exact = [_exact_circumradius(v[i]) for i in flat.tolist()]
+    exact = [_exact_circumradius(np.ldexp(v[i], -e[i])) for i in flat.tolist()]
     if len(flat):
         gram = gram.copy()  # diag is a view of the original
         gram[flat] = np.eye(gram.shape[1])
@@ -481,7 +493,7 @@ def _circumradii(v: np.ndarray) -> np.ndarray:
     c = (x[:, None, :] @ u)[:, 0]
     r = np.sqrt((c[:, None, :] @ c[:, :, None])[:, 0, 0])
     r[flat] = exact
-    return r
+    return np.ldexp(r, e)
 
 
 def _exact_circumradius(v: np.ndarray) -> float:

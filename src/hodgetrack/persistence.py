@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .complexes import FilteredComplex, IndexMap, inclusion_map, sublevel
-from .errors import InputError, UndefinedSimilarityError
-from .spectral import TypedSpectrum, spectrum_of_slice
+from .errors import DimensionError, InputError, UndefinedSimilarityError
+from .spectral import spectrum_of_slice
 
 logger = logging.getLogger(__name__)
 
@@ -74,15 +74,21 @@ def pem(
     q = dst.shape[1] if dst.ndim == 2 else 0
     if p == 0 or q == 0:
         return Matching(pairs=[], unmatched_src=list(range(p)), unmatched_dst=list(range(q)))
+    if (len(src), len(dst)) != (incl.src_size, incl.dst_size):
+        raise DimensionError(
+            f"{len(src)} x {len(dst)} vector rows do not match the inclusion "
+            f"{incl.src_size} -> {incl.dst_size}"
+        )
 
     ns = np.linalg.norm(src, axis=0)
     nd = np.linalg.norm(dst, axis=0)
     if np.any(ns == 0.0) or np.any(nd == 0.0):
         raise UndefinedSimilarityError("similarity of a zero vector is undefined")
 
-    padded = np.zeros((incl.dst_size, p))
-    padded[incl.idx] = src
-    sim = np.abs(padded.T @ dst) / np.outer(ns, nd)
+    # numpy's own loop, not a BLAS product: numpy and scipy load separate
+    # OpenBLAS builds, and a threaded numpy product between two of track's
+    # eigensolves leaves each thread pool spinning on the cores the other needs
+    sim = np.abs(np.einsum("ij,ik->jk", src, dst[incl.idx])) / np.outer(ns, nd)
     sim = np.minimum(sim, 1.0)
 
     best_dst = np.argmax(sim, axis=1)
@@ -91,19 +97,12 @@ def pem(
     if np.any(np.sum(sim == row_max[:, None], axis=1) > 1):
         logger.debug("degenerate similarity tie broken toward lower eigenvalue")
 
-    pairs = []
-    matched_src = set()
-    matched_dst = set()
-    for i in range(p):
-        j = int(best_dst[i])
-        if int(best_src[j]) == i and sim[i, j] >= theta:
-            pairs.append((i, j, float(sim[i, j])))
-            matched_src.add(i)
-            matched_dst.add(j)
+    keep = (best_src[best_dst] == np.arange(p)) & (row_max >= theta)
+    matched = np.flatnonzero(keep)
     return Matching(
-        pairs=pairs,
-        unmatched_src=[i for i in range(p) if i not in matched_src],
-        unmatched_dst=[j for j in range(q) if j not in matched_dst],
+        pairs=list(zip(matched.tolist(), best_dst[keep].tolist(), row_max[keep].tolist())),
+        unmatched_src=np.flatnonzero(~keep).tolist(),
+        unmatched_dst=np.setdiff1d(np.arange(q), best_dst[keep]).tolist(),
     )
 
 
@@ -226,6 +225,10 @@ def track(
     never bridged. Pass a list as spectra_out to also receive the per-step
     typed spectra.
 
+    Steps run one at a time: each slice is solved (or reused, below), matched
+    against the previous step and then dropped, so only two steps' spectra
+    are held at once unless spectra_out keeps them all.
+
     Each distinct slice is solved once. A step whose slice has as many k- and
     (k+1)-simplices as the previous step's reuses that step's spectrum with
     only t replaced (the two share their pairs). This is exact: the grid
@@ -236,76 +239,61 @@ def track(
     was solved. The solved steps are listed in solved_steps.
     """
     k = grid.k
-    slices = [sublevel(fc, t) for t in grid.thresholds]
-    sizes = [(sl.n_simplices(k), sl.n_simplices(k + 1)) for sl in slices]
-    solved = [step == 0 or sizes[step] != sizes[step - 1] for step in range(len(slices))]
-    # all solves run before any matching: interleaving the dense eigensolves
-    # with pem's products measured slower on both
-    spectra: list[TypedSpectrum] = []
-    for sl, solve in zip(slices, solved):
-        spectra.append(
-            spectrum_of_slice(sl, k, m=grid.m)
-            if solve
-            else replace(spectra[-1], t=sl.t)
-        )
-    solved_steps = [step for step, solve in enumerate(solved) if solve]
-    logger.info("solved %d distinct slices for %d steps", len(solved_steps), len(slices))
-    if spectra_out is not None:
-        spectra_out.extend(spectra)
-
+    sizes: list[tuple[int, int]] = []
+    solved_steps: list[int] = []
     trajectories: list[Trajectory] = []
-    active: dict[int, int] = {}  # pair index in current step -> trajectory id
+    active: dict[int, int] = {}  # pair index in the previous step -> trajectory id
+    prev_sl = prev_spec = None
 
-    for step, spec in enumerate(spectra):
-        t = float(grid.thresholds[step])
-        if step == 0:
-            matching = None
+    for step, t in enumerate(grid.thresholds):
+        sl = sublevel(fc, t)
+        size = (sl.n_simplices(k), sl.n_simplices(k + 1))
+        solved = step == 0 or size != sizes[-1]
+        if solved:
+            spec = spectrum_of_slice(sl, k, m=grid.m)
+            solved_steps.append(step)
         else:
-            incl = inclusion_map(slices[step - 1], slices[step], k)
-            matching = pem(
-                spectra[step - 1].vectors(), spec.vectors(), incl, theta=theta
-            )
-        next_active: dict[int, int] = {}
+            spec = replace(prev_spec, t=sl.t)
+        sizes.append(size)
+        if spectra_out is not None:
+            spectra_out.append(spec)
+
         matched_dst: dict[int, tuple[int, float]] = {}
-        if matching is not None:
+        if prev_spec is not None:
+            incl = inclusion_map(prev_sl, sl, k)
+            matching = pem(prev_spec.vectors(), spec.vectors(), incl, theta=theta)
             for i, j, s in matching.pairs:
                 if i in active:
                     matched_dst[j] = (active[i], s)
+        next_active: dict[int, int] = {}
         for j, pair in enumerate(spec.pairs):
             if j in matched_dst:
                 tid, s = matched_dst[j]
-                trajectories[tid].points.append(
-                    TrajectoryPoint(step=step, t=t, value=pair.value, kind=pair.kind, pes_prev=s)
-                )
             else:
-                tid = len(trajectories)
-                trajectories.append(
-                    Trajectory(
-                        id=tid,
-                        points=[
-                            TrajectoryPoint(
-                                step=step, t=t, value=pair.value, kind=pair.kind, pes_prev=None
-                            )
-                        ],
-                    )
-                )
+                tid, s = len(trajectories), None
+                trajectories.append(Trajectory(id=tid, points=[]))
+            trajectories[tid].points.append(
+                TrajectoryPoint(step=step, t=float(t), value=pair.value, kind=pair.kind, pes_prev=s)
+            )
             next_active[j] = tid
         logger.debug(
             "step %d t=%r n_%d=%d n_%d=%d %s: %d born, %d matched, %d died",
-            step, t, k, sizes[step][0], k + 1, sizes[step][1],
-            "solved" if solved[step] else "reused",
+            step, float(t), k, size[0], k + 1, size[1],
+            "solved" if solved else "reused",
             len(spec.pairs) - len(matched_dst), len(matched_dst),
             len(active) - len(matched_dst),
         )
         active = next_active
+        prev_sl, prev_spec = sl, spec
 
+    logger.info("solved %d distinct slices for %d steps", len(solved_steps), len(sizes))
     return TrajectorySet(
         k=k,
         m=grid.m,
         theta=theta,
         thresholds=grid.thresholds,
         trajectories=trajectories,
-        n_steps=len(spectra),
+        n_steps=len(sizes),
         solved_steps=solved_steps,
         slice_sizes=sizes,
     )

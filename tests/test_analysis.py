@@ -248,6 +248,43 @@ def test_node_clustering_depends_only_on_incident_multiset():
     assert np.array_equal(a, b)
 
 
+
+def test_node_clustering_matches_vote_count(rng):
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values
+
+    from conftest import random_cloud
+
+    fc = filtration_values(delaunay_2d(PointCloud(random_cloud(rng, 80))))
+    for k in (1, 2):
+        sl = sublevel(fc, float(np.median(fc.values(k))))
+        simplices = sl.simplices(k)
+        labels = rng.integers(0, 3, size=len(simplices))
+        assign = ClusterAssignment(
+            k=k, mode="total", h=1, c=3, seed=0, simplices=simplices,
+            labels=labels, inertia=0.0, embedding=np.zeros((len(simplices), 1)),
+        )
+        ids, got = node_clustering(assign, sl)
+        votes = {v: [0, 0, 0] for v in ids}
+        for s, lab in zip(simplices, labels):
+            for v in s:
+                votes[v][lab] += 1
+        want = [votes[v].index(max(votes[v])) if any(votes[v]) else UNASSIGNED for v in ids]
+        assert got.tolist() == want
+        assert UNASSIGNED in want  # some vertices have no simplex yet
+
+
+def test_embed_rows_sign_rule_matches_row_loop(rng):
+    vecs = rng.normal(size=(60, 4))
+    vecs[:3] = 0.0
+    vecs[3] = [1.0, -1.0, 2.0, -2.0]  # zero sum: the largest entry decides
+    vecs[4] = [-1.0, 1.0, -2.0, 2.0]
+    got = embed_rows(vecs)
+    rows = vecs / np.linalg.norm(vecs, axis=1, keepdims=True).clip(min=1e-300)
+    for row, out in zip(rows, got):
+        s = np.sign(row.sum()) or np.sign(row[np.argmax(np.abs(row))])
+        assert out.tobytes() == (-row if s < 0 else row).tobytes()
+
+
 # -- hgc ---------------------------------------------------------------------------
 
 

@@ -532,3 +532,24 @@ def test_filtration_carries_points(rng):
     pts = random_cloud(rng, 10)
     fc = filtration_values(delaunay_2d(PointCloud(pts)))
     assert np.array_equal(fc.points, pts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e150, 1e300])
+def test_filtration_values_at_extreme_scales(rng, scale, caplog):
+    pts = random_cloud(rng, 30)
+    tri = delaunay_2d(PointCloud(pts))
+    fc = filtration_values(tri)
+    with caplog.at_level(logging.DEBUG, logger="hodgetrack.geometry"):
+        scaled_tri = delaunay_2d(PointCloud(pts * scale))
+    # the float filters see the cloud at unit scale
+    assert "start=qhull," in caplog.text and ", 0 exact evaluations" in caplog.text
+    assert scaled_tri.triangles == tri.triangles
+    scaled = filtration_values(scaled_tri)
+    for k in (1, 2):
+        got = scaled.values(k)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got, fc.values(k) * scale, rtol=1e-12, atol=0)
+    edge_val = dict(zip(scaled.simplices(1), scaled.values(1)))
+    for (a, b, c), tv in zip(scaled.simplices(2), scaled.values(2)):
+        assert tv >= max(edge_val[a, b], edge_val[a, c], edge_val[b, c])

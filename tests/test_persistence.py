@@ -428,3 +428,60 @@ def test_track_logs_solved_slice_summary(caplog):
     assert len(steps) == 5
     assert [("reused" in m) for m in steps] == [False, True, False, True, False]
     assert steps[3] == "step 3 t=2.0 n_0=4 n_1=3 reused: 0 born, 4 matched, 0 died"
+
+
+def test_track_holds_at_most_two_spectra(monkeypatch):
+    import gc
+    import weakref
+
+    import hodgetrack.persistence as persistence
+    from hodgetrack import spectrum_of_slice
+    from hodgetrack.persistence import FiltrationGrid
+
+    fc = delaunay_complex()
+    thresholds = np.linspace(0.0, fc.max_value, 12)
+    thresholds[0] = 1e-9
+    grid = FiltrationGrid(thresholds=thresholds, k=1, m=10)
+
+    made = []  # weak references to every spectrum track creates
+    alive = []  # live spectra counted at each solve
+    solve, reuse = persistence.spectrum_of_slice, persistence.replace
+
+    def counted_solve(*args, **kwargs):
+        spec = solve(*args, **kwargs)
+        made.append(weakref.ref(spec))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        return spec
+
+    def counted_reuse(*args, **kwargs):
+        spec = reuse(*args, **kwargs)
+        made.append(weakref.ref(spec))
+        return spec
+
+    monkeypatch.setattr(persistence, "spectrum_of_slice", counted_solve)
+    monkeypatch.setattr(persistence, "replace", counted_reuse)
+    ts = track(fc, grid)
+    assert len(made) == len(thresholds) and len(ts.solved_steps) < len(thresholds)
+    assert len(alive) == len(ts.solved_steps) >= 3
+    # the previous step's spectrum and the one just solved
+    assert max(alive) <= 2
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+    spectra = []
+    again = track(fc, grid, spectra_out=spectra)
+    assert trajectories_to_csv(again) == trajectories_to_csv(ts)
+    assert len(spectra) == len(thresholds)
+    for t, spec in zip(thresholds, spectra):
+        assert_same_spectrum(spec, spectrum_of_slice(sublevel(fc, t), 1, m=10))
+
+
+def test_pem_rejects_rows_that_do_not_match_the_inclusion():
+    from hodgetrack import DimensionError
+
+    vecs = np.eye(4)[:, :2]
+    with pytest.raises(DimensionError):
+        pem(vecs, vecs, pad_map(3, 4))
+    with pytest.raises(DimensionError):
+        pem(vecs, vecs, pad_map(4, 5))
