@@ -46,6 +46,7 @@ from .persistence import (
     track,
 )
 from .spectral import (
+    CLUSTER_COEFF,
     RESIDUAL_COEFF,
     TYPE_TOL_COEFF,
     ZERO_TOL_COEFF,
@@ -58,6 +59,7 @@ BASE_TOLERANCES = {
     "zero_tol_coeff": ZERO_TOL_COEFF,
     "type_tol_coeff": TYPE_TOL_COEFF,
     "residual_coeff": RESIDUAL_COEFF,
+    "cluster_coeff": CLUSTER_COEFF,
 }
 
 

@@ -193,9 +193,6 @@ class FilteredComplex:
             return np.zeros(0)
         return np.unique(np.concatenate([v for v in self._values.values()]))
 
-    def sublevel(self, t: float) -> "ComplexSlice":
-        return sublevel(self, t)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -255,9 +252,6 @@ class ComplexSlice:
     def values(self, k: int) -> np.ndarray:
         return self.parent.values(k)[self.indices.get(k, np.zeros(0, dtype=int))]
 
-    def boundary_matrix(self, k: int) -> "SparseSignMatrix":
-        return boundary_matrix(self, k)
-
 
 @dataclass(frozen=True)
 class SparseSignMatrix:
@@ -269,6 +263,12 @@ class SparseSignMatrix:
     rows: np.ndarray
     cols: np.ndarray
     signs: np.ndarray
+
+    @classmethod
+    def empty(cls, n_rows: int, n_cols: int) -> "SparseSignMatrix":
+        """The n_rows x n_cols matrix with no entries."""
+        none = np.zeros(0, dtype=np.int64)
+        return cls(n_rows=n_rows, n_cols=n_cols, rows=none, cols=none, signs=none)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=np.int64)
@@ -307,13 +307,7 @@ def boundary_matrix(sl: ComplexSlice, k: int) -> SparseSignMatrix:
         )
     n_cols = sl.n_simplices(k)
     if k == 0:
-        return SparseSignMatrix(
-            n_rows=0,
-            n_cols=n_cols,
-            rows=np.zeros(0, dtype=np.int64),
-            cols=np.zeros(0, dtype=np.int64),
-            signs=np.zeros(0, dtype=np.int64),
-        )
+        return SparseSignMatrix.empty(0, n_cols)
     below = sl.indices.get(k - 1, np.zeros(0, dtype=np.int64))
     faces = sl.parent._faces[k][sl.indices.get(k, np.zeros(0, dtype=np.int64))]
     rows = np.searchsorted(below, faces)

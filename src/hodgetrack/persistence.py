@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +57,11 @@ class Matching:
     unmatched_dst: list[int]
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 1.0:  # also rejects NaN
+        raise InputError(f"similarity threshold theta must lie in [0, 1], got {theta}")
+
+
 def pem(
     src_vectors: np.ndarray,
     dst_vectors: np.ndarray,
@@ -65,9 +71,11 @@ def pem(
     """Match eigenvectors of nested slices by mutual best similarity.
 
     A pair is kept when each vector is the other's highest-similarity partner
-    and the similarity reaches theta. Ties on the maximum go to the earlier
-    (lower eigenvalue) index and are logged as degenerate.
+    and the similarity reaches theta, which must lie in [0, 1]. Ties on the
+    maximum go to the earlier (lower eigenvalue) index and are logged as
+    degenerate.
     """
+    _check_theta(theta)
     src = np.asarray(src_vectors, dtype=float)
     dst = np.asarray(dst_vectors, dtype=float)
     p = src.shape[1] if src.ndim == 2 else 0
@@ -123,6 +131,8 @@ class FiltrationGrid:
             raise InputError("empty filtration grid")
         if np.any(np.diff(t) <= 0):
             raise InputError("grid thresholds must be strictly ascending")
+        if self.m < 1:
+            raise InputError(f"eigenpair budget must be at least 1, got {self.m}")
         object.__setattr__(self, "thresholds", t)
 
     def __len__(self) -> int:
@@ -176,14 +186,9 @@ class Trajectory:
         return self.points[-1].step
 
     def dominant_kind(self) -> str:
-        counts: dict[str, int] = {}
-        first_seen: dict[str, int] = {}
-        for i, pt in enumerate(self.points):
-            counts[pt.kind] = counts.get(pt.kind, 0) + 1
-            first_seen.setdefault(pt.kind, i)
-        top = max(counts.values())
-        tied = [kind for kind, n in counts.items() if n == top]
-        return min(tied, key=lambda kind: first_seen[kind])
+        """Most frequent kind along the path; the first seen wins a tie."""
+        counts = Counter(pt.kind for pt in self.points)
+        return max(counts, key=counts.get)
 
     def kind_changes(self) -> list[tuple[int, str, str]]:
         """(step, old kind, new kind) whenever the type flips along the path."""
@@ -238,6 +243,7 @@ def track(
     L_k, the residuals nor rk B_k. The reused spectrum was validated when it
     was solved. The solved steps are listed in solved_steps.
     """
+    _check_theta(theta)
     k = grid.k
     sizes: list[tuple[int, int]] = []
     solved_steps: list[int] = []

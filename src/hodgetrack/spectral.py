@@ -17,7 +17,7 @@ a positive eigenspace.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .complexes import ComplexSlice, FilteredComplex, SparseSignMatrix, boundary_matrix, sublevel
-from .errors import ClassificationError, DimensionError, SolverError
+from .errors import ClassificationError, DimensionError, InputError, SolverError
 
 HARMONIC = "harmonic"
 GRADIENT = "gradient"
@@ -42,73 +42,63 @@ DENSE_LIMIT = 3000  # largest operator handled by the dense solver
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HodgeOperators:
-    """Boundary matrices and Laplacian pieces for one slice and dimension."""
+    """Boundary matrices and Laplacian pieces for one slice and dimension.
+
+    Built once by hodge_operators: b_down and b_up are the exact signed
+    matrices B_k and B_{k+1}, down and up the same matrices as float CSC,
+    l_up = B_{k+1} B_{k+1}^T and laplacian = L_k as float CSR.
+    """
 
     k: int
     n: int
     b_down: SparseSignMatrix
     b_up: SparseSignMatrix
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def l_down(self) -> sp.csr_matrix:
-        if "l_down" not in self._cache:
-            b = self.b_down.to_csc()
-            self._cache["l_down"] = (b.T @ b).tocsr()
-        return self._cache["l_down"]
-
-    @property
-    def l_up(self) -> sp.csr_matrix:
-        if "l_up" not in self._cache:
-            b = self.b_up.to_csc()
-            self._cache["l_up"] = (b @ b.T).tocsr()
-        return self._cache["l_up"]
-
-    @property
-    def laplacian(self) -> sp.csr_matrix:
-        if "l" not in self._cache:
-            self._cache["l"] = (self.l_down + self.l_up).tocsr()
-        return self._cache["l"]
-
-    def dense(self) -> np.ndarray:
-        if "dense" not in self._cache:
-            self._cache["dense"] = self.laplacian.toarray().astype(float)
-        return self._cache["dense"]
+    down: sp.csc_matrix
+    up: sp.csc_matrix
+    l_up: sp.csr_matrix
+    laplacian: sp.csr_matrix
 
     def lambda_max_bound(self) -> float:
         """Gershgorin upper bound for the largest eigenvalue."""
         if self.n == 0:
             return 0.0
-        m = self.laplacian
-        return float(np.max(np.abs(m).sum(axis=1)))
+        return float(np.max(np.abs(self.laplacian).sum(axis=1)))
 
 
 def hodge_operators(sl: ComplexSlice, k: int) -> HodgeOperators:
-    """Assemble B_k and B_{k+1} for a slice and bundle the Laplacian pieces."""
+    """Assemble B_k and B_{k+1} for a slice and the Laplacian pieces.
+
+    The products are formed and summed in integers and converted to float
+    once, so L_k's entries and their order do not depend on rounding.
+    """
     if k < 0 or k > max(sl.parent.dim, 0):
         raise DimensionError(
             f"operator dimension {k} outside range 0..{max(sl.parent.dim, 0)}"
         )
+    n = sl.n_simplices(k)
     b_down = boundary_matrix(sl, k)
-    if k + 1 <= sl.parent.dim:
-        b_up = boundary_matrix(sl, k + 1)
-    else:
-        b_up = SparseSignMatrix(
-            n_rows=sl.n_simplices(k),
-            n_cols=0,
-            rows=np.zeros(0, dtype=np.int64),
-            cols=np.zeros(0, dtype=np.int64),
-            signs=np.zeros(0, dtype=np.int64),
-        )
-    return HodgeOperators(k=k, n=sl.n_simplices(k), b_down=b_down, b_up=b_up)
+    b_up = boundary_matrix(sl, k + 1) if k < sl.parent.dim else SparseSignMatrix.empty(n, 0)
+    down, up = b_down.to_csc(), b_up.to_csc()
+    l_up = (up @ up.T).tocsr()
+    laplacian = (down.T @ down + l_up).tocsr()
+    return HodgeOperators(
+        k=k, n=n, b_down=b_down, b_up=b_up,
+        down=down.astype(float), up=up.astype(float),
+        l_up=l_up.astype(float), laplacian=laplacian.astype(float),
+    )
 
 
 def _clusters(vals: np.ndarray, tol: float) -> list[range]:
     """Maximal runs of ascending eigenvalues whose consecutive gaps are <= tol."""
     ends = [*(np.flatnonzero(np.diff(vals) > tol) + 1).tolist(), len(vals)]
     return [range(start, stop) for start, stop in zip([0, *ends[:-1]], ends)]
+
+
+def _check_budget(m: int | None) -> None:
+    if m is not None and m < 1:
+        raise InputError(f"eigenpair budget must be at least 1, got {m}")
 
 
 def eigendecompose(ops: HodgeOperators, m: int | None = None):
@@ -121,18 +111,17 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
     up to DENSE_LIMIT rows and compute the full spectrum, so lambda_max is
     exact there; the iterative path estimates it separately. Every returned
     pair is checked against the backward-error bound |Lv - lambda v| <=
-    1e-8 * max(1, lambda_max).
+    1e-8 * max(1, lambda_max). A budget below 1 raises InputError.
     """
+    _check_budget(m)
     n = ops.n
     if n == 0:
         return np.zeros(0), np.zeros((0, 0)), 0.0
     m_eff = n if m is None else min(int(m), n)
-    if m_eff <= 0:
-        raise SolverError(f"requested {m} eigenpairs")
 
     if n <= DENSE_LIMIT:
         try:
-            vals, vecs = scipy.linalg.eigh(ops.dense())
+            vals, vecs = scipy.linalg.eigh(ops.laplacian.toarray())
         except scipy.linalg.LinAlgError as e:
             raise SolverError(f"dense eigensolver failed: {e}") from None
         lam_max = float(vals[-1])
@@ -142,7 +131,7 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
                 f"iterative path cannot return all {n} eigenpairs; "
                 f"request a budget below the chain dimension"
             )
-        mat = ops.laplacian.astype(float)
+        mat = ops.laplacian
         v0 = np.full(n, 1.0 / np.sqrt(n))
         try:
             top = spla.eigsh(mat, k=1, which="LA", v0=v0, tol=1e-9)[0]
@@ -186,8 +175,8 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
 def residuals(v: np.ndarray, ops: HodgeOperators):
     """(r_up, r_down) = (|B_{k+1}^T v|, |B_k v|); per column for a block."""
     v = np.asarray(v, dtype=float)
-    r_up = np.linalg.norm(ops.b_up.to_csc().T @ v, axis=0)
-    r_down = np.linalg.norm(ops.b_down.to_csc() @ v, axis=0)
+    r_up = np.linalg.norm(ops.up.T @ v, axis=0)
+    r_down = np.linalg.norm(ops.down @ v, axis=0)
     return r_up, r_down
 
 
@@ -241,13 +230,13 @@ def hodge_project(v: np.ndarray, ops: HodgeOperators):
         raise DimensionError(f"vector length {cols.shape[0]} != chain dim {ops.n}")
 
     if ops.b_down.n_rows:
-        bdt = ops.b_down.to_dense().T.astype(float)
+        bdt = ops.down.T.toarray()
         y, *_ = np.linalg.lstsq(bdt, cols, rcond=None)
         grad = bdt @ y
     else:
         grad = np.zeros_like(cols)
     if ops.b_up.n_cols:
-        bu = ops.b_up.to_dense().astype(float)
+        bu = ops.up.toarray()
         z, *_ = np.linalg.lstsq(bu, cols, rcond=None)
         curl = bu @ z
     else:
@@ -342,7 +331,7 @@ def assign_types(vals: np.ndarray, vecs: np.ndarray, ops: HodgeOperators, lam_ma
         if all(kinds[i] for i in cluster):
             continue
         cols = [i for i in cluster if kinds[i] != HARMONIC]
-        u = ops.b_up.to_csc().T @ vecs[:, cols]
+        u = ops.up.T @ vecs[:, cols]
         vecs[:, cols] = vecs[:, cols] @ np.linalg.eigh(u.T @ u)[1]
         r_up[cols], r_down[cols] = residuals(vecs[:, cols], ops)
         for i in cols:
@@ -465,15 +454,8 @@ def spectrum_at(
     k: int,
     m: int | None = None,
 ) -> TypedSpectrum:
-    """Typed spectrum of the dimension-k Laplacian of the sublevel slice at t.
-
-    The harmonic count is always cross-checked against the rank identity
-    dim ker L_k = |S_k| - rk B_k - rk B_{k+1}, with exact ranks (components /
-    free-face peeling, numerical rank only on the unpeelable core); a mismatch
-    raises SolverError.
-    """
-    sl = sublevel(fc, t)
-    return spectrum_of_slice(sl, k, m=m)
+    """Typed spectrum of the dimension-k Laplacian of the sublevel slice at t."""
+    return spectrum_of_slice(sublevel(fc, t), k, m=m)
 
 
 def spectrum_of_slice(
@@ -481,6 +463,15 @@ def spectrum_of_slice(
     k: int,
     m: int | None = None,
 ) -> TypedSpectrum:
+    """Typed spectrum of the dimension-k Laplacian of a slice: the m smallest
+    eigenpairs, or all of them when m is None.
+
+    The harmonic count is always cross-checked against the rank identity
+    dim ker L_k = |S_k| - rk B_k - rk B_{k+1}, with exact ranks (components /
+    free-face peeling, numerical rank only on the unpeelable core); a mismatch
+    raises SolverError. A budget below 1 raises InputError.
+    """
+    _check_budget(m)
     ops = hodge_operators(sl, k)
     if ops.n == 0:
         return TypedSpectrum(k=k, t=sl.t, pairs=[], lam_max=0.0, n_chain=0)

@@ -13,10 +13,16 @@ from .errors import InputError
 GENERATOR_NAME = "pcg64"
 
 
-def _disk(rng: np.random.Generator, n: int, center, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform(size=n))
-    a = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.asarray(center)[None, :] + np.column_stack([r * np.cos(a), r * np.sin(a)])
+def _disks(seed: int, centers, counts, radius: float):
+    """Uniform samples from equal disks, drawn disk by disk from one stream.
+    Returns (points, disk index per point)."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for center, cnt in zip(centers, counts):
+        r = radius * np.sqrt(rng.uniform(size=cnt))
+        a = rng.uniform(0.0, 2.0 * np.pi, size=cnt)
+        chunks.append(np.asarray(center)[None, :] + np.column_stack([r * np.cos(a), r * np.sin(a)]))
+    return np.vstack(chunks), np.repeat(np.arange(len(counts)), counts)
 
 
 def four_disks(n: int, seed: int, radius: float = 1.0):
@@ -25,16 +31,10 @@ def four_disks(n: int, seed: int, radius: float = 1.0):
     index per point); n splits as evenly as possible across the disks."""
     if n < 4:
         raise InputError(f"four-disks needs at least 4 points, got {n}")
-    rng = np.random.default_rng(seed)
     half = 2.0 * radius
     centers = [(-half, -half), (half, -half), (half, half), (-half, half)]
     counts = [n // 4 + (1 if i < n % 4 else 0) for i in range(4)]
-    chunks = []
-    labels = []
-    for i, (center, cnt) in enumerate(zip(centers, counts)):
-        chunks.append(_disk(rng, cnt, center, radius))
-        labels.extend([i] * cnt)
-    return np.vstack(chunks), np.asarray(labels, dtype=int)
+    return _disks(seed, centers, counts, radius)
 
 
 def annulus(n: int, seed: int, r_inner: float = 1.0, r_outer: float = 2.0):
@@ -54,15 +54,8 @@ def two_clusters(n: int, seed: int, radius: float = 1.0, separation: float = 4.0
     Returns (points, disk index per point)."""
     if n < 2:
         raise InputError(f"two-clusters needs at least 2 points, got {n}")
-    rng = np.random.default_rng(seed)
-    counts = [n - n // 2, n // 2]
     centers = [(-separation / 2.0, 0.0), (separation / 2.0, 0.0)]
-    chunks = []
-    labels = []
-    for i, (center, cnt) in enumerate(zip(centers, counts)):
-        chunks.append(_disk(rng, cnt, center, radius))
-        labels.extend([i] * cnt)
-    return np.vstack(chunks), np.asarray(labels, dtype=int)
+    return _disks(seed, centers, [n - n // 2, n // 2], radius)
 
 
 def generate(preset: str, n: int, seed: int) -> np.ndarray:

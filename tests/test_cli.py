@@ -81,6 +81,33 @@ def test_exit_code_bad_flag():
     assert run(["spectrum", "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["track", "--num", "0"],
+    ["track", "--num", "-3"],
+    ["spectrum", "--num", "-2"],
+    ["track", "--theta", "2"],
+    ["track", "--theta", "-0.5"],
+    ["track", "--theta", "nan"],
+    ["track", "--theta", "2", "--steps", "1"],
+])
+def test_exit_code_bad_budget_or_theta(tmp_path, complex_json, args):
+    command, *rest = args
+    out = ["--out", tmp_path / "o.json"] if command == "spectrum" else ["--out-prefix", tmp_path / "o"]
+    assert run([command, complex_json, *rest, *out]) == 1
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith("o.")] == []
+
+
+def test_spectrum_manifest_lists_every_spectral_tolerance(tmp_path, complex_json):
+    from hodgetrack import spectral
+
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", complex_json, "--num", "5", "--out", out]) == 0
+    manifest = json.loads((tmp_path / "spec.json.manifest.json").read_text())
+    coeffs = {name.lower(): value for name, value in vars(spectral).items() if name.endswith("_COEFF")}
+    assert len(coeffs) >= 4
+    assert coeffs.items() <= manifest["tolerances"].items()
+
+
 def test_spectrum_hollow_triangle(tmp_path):
     src = tmp_path / "cx.json"
     src.write_text(json.dumps({

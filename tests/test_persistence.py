@@ -181,6 +181,22 @@ def test_build_grid_subsample_keeps_last():
     assert len(grid.thresholds) == 2
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_grid_rejects_budget_below_one(m):
+    with pytest.raises(InputError):
+        build_grid(stacked_triangles(), 1, m=m)
+
+
+@pytest.mark.parametrize("theta", [2.0, -0.1, float("nan")])
+def test_theta_outside_unit_interval_rejected(theta):
+    fc = stacked_triangles()
+    with pytest.raises(InputError):
+        pem(np.eye(3), np.eye(3), identity_map(3), theta=theta)
+    for steps in (1, None):  # a one-step grid never reaches pem
+        with pytest.raises(InputError):
+            track(fc, build_grid(fc, 1, steps=steps), theta=theta)
+
+
 def test_grid_rejects_disorder():
     from hodgetrack.persistence import FiltrationGrid
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 
@@ -10,6 +11,7 @@ import hodgetrack.spectral as spectral
 from hodgetrack import (
     ClassificationError,
     FilteredComplex,
+    InputError,
     SolverError,
     boundary_matrix,
     classify,
@@ -412,10 +414,33 @@ def test_budget_inside_mixed_cluster(monkeypatch, dense_limit):
 
 def test_negative_definite_rejected():
     ops = ops_at(path_complex(3), 1.0, 0)
-    ops._cache["l"] = -ops.laplacian
-    ops._cache.pop("dense", None)
+    ops = dataclasses.replace(ops, laplacian=-ops.laplacian)
     with pytest.raises(SolverError):
         eigendecompose(ops)
+
+
+def test_operators_are_one_frozen_record():
+    ops = ops_at(filled_triangle(), 1.0, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.laplacian = ops.l_up
+    assert np.array_equal(ops.down.toarray(), ops.b_down.to_dense())
+    assert np.array_equal(ops.up.toarray(), ops.b_up.to_dense())
+    for mat in (ops.down, ops.up, ops.l_up, ops.laplacian):
+        assert mat.dtype == np.float64
+    # the top dimension has an empty B_{k+1} with one row per k-simplex
+    top = ops_at(filled_triangle(), 1.0, 2)
+    assert (top.b_up.n_rows, top.b_up.n_cols, top.b_up.nnz) == (1, 0, 0)
+    assert np.array_equal(top.laplacian.toarray(), [[3.0]])
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_budget_below_one_is_an_input_error(m):
+    fc = cycle_complex(5)
+    for t in (1.0, 0.0):  # a full slice and one with no edges
+        with pytest.raises(InputError):
+            spectrum_of_slice(sublevel(fc, t), 1, m=m)
+        with pytest.raises(InputError):
+            eigendecompose(ops_at(fc, t, 1), m=m)
 
 
 # -- canonical form ---------------------------------------------------------------
