@@ -17,6 +17,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
+from ._files import fmt_float, write_text
 from .complexes import ComplexSlice
 from .errors import (
     InfeasibleClusteringError,
@@ -257,15 +258,12 @@ def hgc_values(sl: ComplexSlice, n: int, count: int) -> HgcResult:
         raise InsufficientSpectrumError(
             f"{count} eigenpairs requested but only {len(spec.pairs)} exist"
         )
-    pairs = spec.pairs[:count]
-    n_simplices = sl.n_simplices(n)
-    triples = np.zeros((n_simplices, 3))
-    groups = (HARMONIC, GRADIENT, CURL)
-    for gi, kind in enumerate(groups):
-        vecs = [p.vector for p in pairs if p.kind == kind]
+    triples = np.zeros((sl.n_simplices(n), 3))
+    for gi, kind in enumerate((HARMONIC, GRADIENT, CURL)):
+        vecs = [p.vector for p in spec.select(kind)]
         if vecs:
             triples[:, gi] = np.max(np.abs(np.column_stack(vecs)), axis=1)
-    e_max = float(np.max(np.abs(np.column_stack([p.vector for p in pairs]))))
+    e_max = float(np.max(np.abs(spec.vectors())))
     triples /= e_max
     return HgcResult(
         k=n,
@@ -277,10 +275,6 @@ def hgc_values(sl: ComplexSlice, n: int, count: int) -> HgcResult:
 
 
 # -- serialization -----------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _vertex_header(k: int) -> str:
@@ -305,7 +299,7 @@ def hgc_to_csv(result: HgcResult) -> str:
     lines = [f"{_vertex_header(result.k)},harmonic,gradient,curl"]
     for s, (h, g, c) in zip(result.simplices, result.triples):
         lines.append(
-            ",".join(str(v) for v in s) + f",{_fmt(h)},{_fmt(g)},{_fmt(c)}"
+            ",".join(str(v) for v in s) + f",{fmt_float(h)},{fmt_float(g)},{fmt_float(c)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -397,5 +391,4 @@ def export_analysis(obj, path, fmt: str) -> None:
             raise InputError(f"unknown export format {fmt!r}")
     else:
         raise InputError(f"cannot export object of type {type(obj).__name__}")
-    with open(path, "w") as fh:
-        fh.write(payload)
+    write_text(path, payload)

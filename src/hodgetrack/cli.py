@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from . import __version__
+from ._files import write_json, write_text
 from .analysis import (
     EMBED_ZERO_COEFF,
     export_analysis,
@@ -84,31 +81,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_call(path, writer) -> None:
-    """Run a writer(path) against a temp file, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write(path, payload: str) -> None:
-    _atomic_call(path, lambda tmp: Path(tmp).write_text(payload))
-
-
 def _export(prefix: str, formats, export, result) -> list[str]:
     """Write PREFIX.<fmt> for each format through export(result, path, fmt)."""
-    outputs = []
-    for fmt in formats:
-        out = f"{prefix}.{fmt}"
-        _atomic_call(out, lambda tmp, fmt=fmt: export(result, tmp, fmt))
-        outputs.append(out)
+    outputs = [f"{prefix}.{fmt}" for fmt in formats]
+    for out, fmt in zip(outputs, formats):
+        export(result, out, fmt)
     return outputs
 
 
@@ -130,8 +107,7 @@ def _write_manifest(args, started: float, parameters: dict, outputs: list[str],
         **extra,
     )
     base = args.out_prefix if hasattr(args, "out_prefix") else args.out
-    payload = json.dumps(asdict(manifest), indent=1, sort_keys=True) + "\n"
-    _atomic_write(f"{base}.manifest.json", payload)
+    write_json(f"{base}.manifest.json", asdict(manifest))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     started = time.monotonic()
     points = generate(args.preset, args.n, args.seed)
-    _atomic_call(args.out, lambda tmp: save_point_cloud(points, tmp))
+    save_point_cloud(points, args.out)
     _write_manifest(args, started, {"preset": args.preset, "n": args.n, "seed": args.seed},
                     [args.out], tolerances={}, rng=GENERATOR_NAME)
     print(f"wrote {args.out} ({len(points)} points)")
@@ -222,7 +198,7 @@ def cmd_triangulate(args) -> int:
     started = time.monotonic()
     cloud = load_point_cloud(args.input)
     fc = filtration_values(delaunay_2d(cloud))
-    _atomic_call(args.out, lambda tmp: write_complex_json(fc, tmp))
+    write_complex_json(fc, args.out)
     _write_manifest(args, started, {"input": args.input}, [args.out],
                     tolerances={"predicate_band": EPS_BAND})
     counts = ", ".join(f"{fc.n_simplices(k)} dim-{k}" for k in fc.dims())
@@ -241,12 +217,7 @@ def cmd_spectrum(args) -> int:
     fc, t = _load_with_default_t(args)
     m = None if args.num == 0 else args.num
     spec = spectrum_at(fc, t, args.dim, m=m)
-    payload = json.dumps(
-        spec.to_json_dict(include_vectors=args.include_vectors),
-        indent=1,
-        sort_keys=True,
-    ) + "\n"
-    _atomic_write(args.out, payload)
+    write_json(args.out, spec.to_json_dict(include_vectors=args.include_vectors))
     _write_manifest(args, started,
                     {"input": args.input, "t": t, "dim": args.dim, "num": args.num,
                      "include_vectors": bool(args.include_vectors)},
@@ -289,7 +260,7 @@ def cmd_cluster(args) -> int:
     if args.nodes:
         vertex_ids, labels = node_clustering(assign, sl)
         out = f"{args.out_prefix}_nodes.csv"
-        _atomic_write(out, node_labels_to_csv(vertex_ids, labels))
+        write_text(out, node_labels_to_csv(vertex_ids, labels))
         outputs.append(out)
     _write_manifest(args, started,
                     {"input": args.input, "t": t, "dim": args.dim,

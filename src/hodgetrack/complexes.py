@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ._files import write_json, write_text
 from .errors import (
     ClosureError,
     DimensionError,
@@ -290,8 +291,7 @@ class SparseSignMatrix:
         lines = ["row,col,sign"]
         for r, c, s in zip(self.rows, self.cols, self.signs):
             lines.append(f"{int(r)},{int(c)},{int(s)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 def boundary_matrix(sl: ComplexSlice, k: int) -> SparseSignMatrix:
@@ -387,9 +387,7 @@ def inclusion_map(small: ComplexSlice, large: ComplexSlice, k: int) -> IndexMap:
 
 
 def write_complex_json(fc: FilteredComplex, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(fc.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, fc.to_json_dict())
 
 
 def read_complex_json(path) -> FilteredComplex:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import fmt_float, write_text
 from .complexes import FilteredComplex, read_complex_json
 from .errors import (
     DegeneracyError,
@@ -115,9 +116,8 @@ def load_point_cloud(path) -> PointCloud:
 
 def save_point_cloud(points: np.ndarray, path) -> None:
     """Write a headerless coordinate CSV; floats use shortest round-trip form."""
-    lines = [",".join(repr(float(c)) for c in row) for row in np.asarray(points)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [",".join(fmt_float(c) for c in row) for row in np.asarray(points)]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # -- predicates --------------------------------------------------------------

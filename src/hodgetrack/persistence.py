@@ -9,13 +9,13 @@ similarity, which keeps the matching injective in both directions.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._files import fmt_float, write_json, write_text
 from .complexes import FilteredComplex, IndexMap, inclusion_map, sublevel
 from .errors import DimensionError, InputError, UndefinedSimilarityError
 from .spectral import spectrum_of_slice
@@ -28,20 +28,43 @@ DEFAULT_BUDGET = 40  # eigenpairs computed per step
 TYPE_COLORS = {"harmonic": "#1f77b4", "gradient": "#2ca02c", "curl": "#d62728"}
 
 
+def _similarity(src: np.ndarray, dst: np.ndarray, incl: IndexMap) -> np.ndarray:
+    """|<i(u), w>| / (|u| |w|), clamped at 1, for every column u of src and
+    w of dst.
+
+    Both blocks are transposed into C-contiguous rows, so every dot product
+    and squared norm is numpy's sum over one contiguous row and an entry does
+    not depend on how many columns either block has: pes and pem agree bit
+    for bit.
+    """
+    if (len(src), len(dst)) != (incl.src_size, incl.dst_size):
+        raise DimensionError(
+            f"{len(src)} x {len(dst)} vector rows do not match the inclusion "
+            f"{incl.src_size} -> {incl.dst_size}"
+        )
+    u = np.ascontiguousarray(src.T)
+    w = np.ascontiguousarray(dst.T)
+    w_src = np.ascontiguousarray(dst[incl.idx].T)
+    nu = np.sqrt(np.einsum("ji,ji->j", u, u))
+    nw = np.sqrt(np.einsum("ji,ji->j", w, w))
+    if np.any(nu == 0.0) or np.any(nw == 0.0):
+        raise UndefinedSimilarityError("similarity of a zero vector is undefined")
+    # numpy's own loop, not a BLAS product: numpy and scipy load separate
+    # OpenBLAS builds, and a threaded numpy product between two of track's
+    # eigensolves leaves each thread pool spinning on the cores the other needs
+    sim = np.abs(np.einsum("ji,ki->jk", u, w_src)) / np.outer(nu, nw)
+    return np.minimum(sim, 1.0)
+
+
 def pes(v: np.ndarray, v_next: np.ndarray, incl: IndexMap) -> float:
     """Similarity |<i(v), v'>| / (|v| |v'|) of eigenvectors at nested slices.
 
     Invariant under rescaling and sign flips of either argument; always in
-    [0, 1] by Cauchy-Schwarz.
+    [0, 1] by Cauchy-Schwarz. Equal bit for bit to pem's entry for the pair.
     """
-    v = np.asarray(v, dtype=float)
-    v_next = np.asarray(v_next, dtype=float)
-    nv = float(np.linalg.norm(v))
-    nw = float(np.linalg.norm(v_next))
-    if nv == 0.0 or nw == 0.0:
-        raise UndefinedSimilarityError("similarity of a zero vector is undefined")
-    padded = incl.extend(v)
-    return min(abs(float(padded @ v_next)) / (nv * nw), 1.0)
+    v = np.asarray(v, dtype=float)[:, None]
+    v_next = np.asarray(v_next, dtype=float)[:, None]
+    return float(_similarity(v, v_next, incl)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -82,22 +105,7 @@ def pem(
     q = dst.shape[1] if dst.ndim == 2 else 0
     if p == 0 or q == 0:
         return Matching(pairs=[], unmatched_src=list(range(p)), unmatched_dst=list(range(q)))
-    if (len(src), len(dst)) != (incl.src_size, incl.dst_size):
-        raise DimensionError(
-            f"{len(src)} x {len(dst)} vector rows do not match the inclusion "
-            f"{incl.src_size} -> {incl.dst_size}"
-        )
-
-    ns = np.linalg.norm(src, axis=0)
-    nd = np.linalg.norm(dst, axis=0)
-    if np.any(ns == 0.0) or np.any(nd == 0.0):
-        raise UndefinedSimilarityError("similarity of a zero vector is undefined")
-
-    # numpy's own loop, not a BLAS product: numpy and scipy load separate
-    # OpenBLAS builds, and a threaded numpy product between two of track's
-    # eigensolves leaves each thread pool spinning on the cores the other needs
-    sim = np.abs(np.einsum("ij,ik->jk", src, dst[incl.idx])) / np.outer(ns, nd)
-    sim = np.minimum(sim, 1.0)
+    sim = _similarity(src, dst, incl)
 
     best_dst = np.argmax(sim, axis=1)
     best_src = np.argmax(sim, axis=0)
@@ -248,7 +256,7 @@ def track(
     sizes: list[tuple[int, int]] = []
     solved_steps: list[int] = []
     trajectories: list[Trajectory] = []
-    active: dict[int, int] = {}  # pair index in the previous step -> trajectory id
+    prev_ids: list[int] = []  # trajectory id of each pair of the previous step
     prev_sl = prev_spec = None
 
     for step, t in enumerate(grid.thresholds):
@@ -264,33 +272,28 @@ def track(
         if spectra_out is not None:
             spectra_out.append(spec)
 
-        matched_dst: dict[int, tuple[int, float]] = {}
+        ids: list[int | None] = [None] * len(spec.pairs)
+        sims: list[float | None] = [None] * len(spec.pairs)
         if prev_spec is not None:
             incl = inclusion_map(prev_sl, sl, k)
-            matching = pem(prev_spec.vectors(), spec.vectors(), incl, theta=theta)
-            for i, j, s in matching.pairs:
-                if i in active:
-                    matched_dst[j] = (active[i], s)
-        next_active: dict[int, int] = {}
+            for i, j, s in pem(prev_spec.vectors(), spec.vectors(), incl, theta=theta).pairs:
+                ids[j], sims[j] = prev_ids[i], s
+        matched = len(ids) - ids.count(None)
         for j, pair in enumerate(spec.pairs):
-            if j in matched_dst:
-                tid, s = matched_dst[j]
-            else:
-                tid, s = len(trajectories), None
-                trajectories.append(Trajectory(id=tid, points=[]))
-            trajectories[tid].points.append(
-                TrajectoryPoint(step=step, t=float(t), value=pair.value, kind=pair.kind, pes_prev=s)
+            if ids[j] is None:
+                ids[j] = len(trajectories)
+                trajectories.append(Trajectory(id=ids[j], points=[]))
+            trajectories[ids[j]].points.append(
+                TrajectoryPoint(step=step, t=float(t), value=pair.value, kind=pair.kind,
+                                pes_prev=sims[j])
             )
-            next_active[j] = tid
         logger.debug(
             "step %d t=%r n_%d=%d n_%d=%d %s: %d born, %d matched, %d died",
             step, float(t), k, size[0], k + 1, size[1],
             "solved" if solved else "reused",
-            len(spec.pairs) - len(matched_dst), len(matched_dst),
-            len(active) - len(matched_dst),
+            len(ids) - matched, matched, len(prev_ids) - matched,
         )
-        active = next_active
-        prev_sl, prev_spec = sl, spec
+        prev_ids, prev_sl, prev_spec = ids, sl, spec
 
     logger.info("solved %d distinct slices for %d steps", len(solved_steps), len(sizes))
     return TrajectorySet(
@@ -308,17 +311,13 @@ def track(
 # -- serialization -----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trajectories_to_csv(ts: TrajectorySet) -> str:
     lines = ["trajectory_id,step,t,lambda,type,pes_prev"]
     for tr in ts.trajectories:
         for pt in tr.points:
-            prev = "" if pt.pes_prev is None else _fmt(pt.pes_prev)
+            prev = "" if pt.pes_prev is None else fmt_float(pt.pes_prev)
             lines.append(
-                f"{tr.id},{pt.step},{_fmt(pt.t)},{_fmt(pt.value)},{pt.kind},{prev}"
+                f"{tr.id},{pt.step},{fmt_float(pt.t)},{fmt_float(pt.value)},{pt.kind},{prev}"
             )
     return "\n".join(lines) + "\n"
 
@@ -417,15 +416,13 @@ def trajectories_to_svg(ts: TrajectorySet) -> str:
 def export_diagram(ts: TrajectorySet, path, fmt: str) -> None:
     """Write trajectories as csv, json, or svg."""
     if fmt == "csv":
-        payload = trajectories_to_csv(ts)
+        write_text(path, trajectories_to_csv(ts))
     elif fmt == "json":
-        payload = json.dumps(trajectories_to_json_dict(ts), indent=1, sort_keys=True) + "\n"
+        write_json(path, trajectories_to_json_dict(ts))
     elif fmt == "svg":
-        payload = trajectories_to_svg(ts)
+        write_text(path, trajectories_to_svg(ts))
     else:
         raise InputError(f"unknown diagram format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(payload)
 
 
 def read_trajectory_csv(path) -> list[dict]:

@@ -71,14 +71,11 @@ def hodge_operators(sl: ComplexSlice, k: int) -> HodgeOperators:
     """Assemble B_k and B_{k+1} for a slice and the Laplacian pieces.
 
     The products are formed and summed in integers and converted to float
-    once, so L_k's entries and their order do not depend on rounding.
+    once, so L_k's entries and their order do not depend on rounding. A
+    dimension outside the complex raises DimensionError from boundary_matrix.
     """
-    if k < 0 or k > max(sl.parent.dim, 0):
-        raise DimensionError(
-            f"operator dimension {k} outside range 0..{max(sl.parent.dim, 0)}"
-        )
-    n = sl.n_simplices(k)
     b_down = boundary_matrix(sl, k)
+    n = b_down.n_cols
     b_up = boundary_matrix(sl, k + 1) if k < sl.parent.dim else SparseSignMatrix.empty(n, 0)
     down, up = b_down.to_csc(), b_up.to_csc()
     l_up = (up @ up.T).tocsr()
@@ -118,49 +115,41 @@ def eigendecompose(ops: HodgeOperators, m: int | None = None):
     if n == 0:
         return np.zeros(0), np.zeros((0, 0)), 0.0
     m_eff = n if m is None else min(int(m), n)
+    if n > DENSE_LIMIT and m_eff >= n:
+        raise SolverError(
+            f"iterative path cannot return all {n} eigenpairs; "
+            f"request a budget below the chain dimension"
+        )
 
-    if n <= DENSE_LIMIT:
-        try:
-            vals, vecs = scipy.linalg.eigh(ops.laplacian.toarray())
-        except scipy.linalg.LinAlgError as e:
-            raise SolverError(f"dense eigensolver failed: {e}") from None
-        lam_max = float(vals[-1])
-    else:
-        if m_eff >= n:
-            raise SolverError(
-                f"iterative path cannot return all {n} eigenpairs; "
-                f"request a budget below the chain dimension"
-            )
-        mat = ops.laplacian
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        try:
-            top = spla.eigsh(mat, k=1, which="LA", v0=v0, tol=1e-9)[0]
-        except spla.ArpackNoConvergence as e:
-            raise SolverError(f"iterative eigensolver did not converge: {e}") from None
-        lam_max = float(top[0])
-        tol_cluster = CLUSTER_COEFF * max(1.0, lam_max)
-        sigma = -1e-3 * max(1.0, lam_max)
-        k = m_eff
-        while True:
-            k_try = min(k + 8, n - 1)
-            try:
+    mat = ops.laplacian
+    try:
+        if n <= DENSE_LIMIT:
+            vals, vecs = scipy.linalg.eigh(mat.toarray())
+            lam_max = float(vals[-1])
+        else:
+            v0 = np.full(n, 1.0 / np.sqrt(n))
+            lam_max = float(spla.eigsh(mat, k=1, which="LA", v0=v0, tol=1e-9)[0][0])
+            tol_cluster = CLUSTER_COEFF * max(1.0, lam_max)
+            sigma = -1e-3 * max(1.0, lam_max)
+            k = m_eff
+            while True:
+                k_try = min(k + 8, n - 1)
                 vals, vecs = spla.eigsh(mat, k=k_try, sigma=sigma, which="LM", v0=v0)
-            except spla.ArpackNoConvergence as e:
-                raise SolverError(
-                    f"iterative eigensolver did not converge: {e}"
-                ) from None
-            order = np.argsort(vals)
-            vals = vals[order]
-            vecs = vecs[:, order]
-            # stop once the cluster holding the m-th value ends inside the batch
-            if _clusters(vals, tol_cluster)[-1].start >= m_eff or k_try == n - 1:
-                break
-            k = k_try
+                order = np.argsort(vals)
+                vals = vals[order]
+                vecs = vecs[:, order]
+                # stop once the cluster holding the m-th value ends inside the batch
+                if _clusters(vals, tol_cluster)[-1].start >= m_eff or k_try == n - 1:
+                    break
+                k = k_try
+    except (scipy.linalg.LinAlgError, spla.ArpackError) as e:
+        # ArpackNoConvergence is an ArpackError
+        raise SolverError(f"eigensolver failed: {type(e).__name__}: {e}") from None
 
     scale = max(1.0, lam_max)
     cut = next(c.stop for c in _clusters(vals, CLUSTER_COEFF * scale) if c.stop >= m_eff)
     vals, vecs = vals[:cut], vecs[:, :cut]
-    resid = ops.laplacian @ vecs - vecs * vals[None, :]
+    resid = mat @ vecs - vecs * vals[None, :]
     worst = float(np.max(np.linalg.norm(resid, axis=0)))
     if worst > RESIDUAL_COEFF * scale:
         raise SolverError(

@@ -17,6 +17,7 @@ from hodgetrack.analysis import (
     EMBED_ZERO_COEFF,
     UNASSIGNED,
     ClusterAssignment,
+    _lloyd,
     embed_rows,
     export_analysis,
     hgc_color,
@@ -85,6 +86,15 @@ def test_kmeans_no_empty_clusters(rng):
     x = np.vstack([rng.normal(size=(50, 2)), [[40.0, 40.0]], [[41.0, 40.0]]])
     r = kmeans(x, 4, seed=2)
     assert set(r.labels.tolist()) == {0, 1, 2, 3}
+
+
+def test_lloyd_revives_an_empty_cluster():
+    # no point ever picks the far centroid; the cluster is revived at the
+    # worst-fit point and then takes the right-hand pair
+    x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.2, 0.0]])
+    res = _lloyd(x, np.array([[0.0, 0.0], [1e6, 1e6]]))
+    assert res.labels.tolist() == [0, 0, 1, 1]
+    np.testing.assert_allclose(res.centroids, [[0.05, 0.0], [5.1, 0.0]])
 
 
 def test_kmeans_rejects_bad_input():
@@ -390,3 +400,16 @@ def test_svg_renders_edges(tmp_path, rng):
     export_analysis(res, path, "svg")
     svg = path.read_text()
     assert svg.count('class="simplex"') == sl.n_simplices(1)
+
+
+@pytest.mark.parametrize("k, shape", [(0, "<circle"), (2, "<polygon")])
+def test_svg_renders_vertices_and_triangles(tmp_path, rng, k, shape):
+    from hodgetrack import PointCloud, delaunay_2d, filtration_values
+
+    pts = rng.uniform(-1, 1, size=(12, 2))
+    fc = filtration_values(delaunay_2d(PointCloud(pts)))
+    sl = sublevel(fc, fc.max_value)
+    path = tmp_path / "roles.svg"
+    export_analysis(hgc_values(sl, k, count=3), path, "svg")
+    svg = path.read_text()
+    assert svg.count('class="simplex"') == svg.count(f'{shape} class="simplex"') == sl.n_simplices(k)

@@ -1,10 +1,17 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from hodgetrack import cli, spectral
 from hodgetrack.analysis import EMBED_ZERO_COEFF
 from hodgetrack.cli import BASE_TOLERANCES, main
+from hodgetrack.complexes import write_complex_json
+
+from conftest import cycle_complex
 
 
 def run(args):
@@ -212,3 +219,44 @@ def test_no_partial_files_on_failure(tmp_path):
     assert not out.exists()
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_outputs_take_their_mode_from_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run(["generate", "--preset", "four-disks", "--n", "60", "--seed", "7",
+                    "--out", tmp_path / "pts.csv"]) == 0
+        assert run(["triangulate", tmp_path / "pts.csv", "--out", tmp_path / "cx.json"]) == 0
+        assert run(["track", tmp_path / "cx.json", "--num", "6", "--steps", "4",
+                    "--out-prefix", tmp_path / "run"]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert sorted(modes) == [
+        "cx.json", "cx.json.manifest.json", "pts.csv", "pts.csv.manifest.json",
+        "run.csv", "run.json", "run.manifest.json", "run.svg",
+    ]
+    assert set(modes.values()) == {0o644}
+
+
+def test_arpack_failure_exits_as_solver_error(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(3)
+
+    src = tmp_path / "cycle.json"
+    write_complex_json(cycle_complex(12), src)
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spla, "eigsh", fail)
+    assert run(["spectrum", src, "--num", "3", "--out", tmp_path / "spec.json"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.json"]
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "generate", fail)
+    assert run(["generate", "--preset", "annulus", "--n", "5", "--out", tmp_path / "p.csv"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,13 @@ import pytest
 from hodgetrack import (
     FilteredComplex,
     InputError,
+    PointCloud,
     UndefinedSimilarityError,
     build_grid,
+    delaunay_2d,
     export_diagram,
+    filtration_values,
+    four_disks,
     inclusion_map,
     pem,
     pes,
@@ -126,6 +130,40 @@ def test_pem_injective(rng):
     srcs = [i for i, _, _ in m.pairs]
     dsts = [j for _, j, _ in m.pairs]
     assert len(set(srcs)) == len(srcs) and len(set(dsts)) == len(dsts)
+
+
+@pytest.mark.parametrize("p", [1, 3, 40])
+@pytest.mark.parametrize("q", [1, 3, 40])
+def test_pem_entries_equal_pes_bit_for_bit(rng, p, q):
+    from hodgetrack.persistence import _similarity
+
+    idx = np.sort(rng.choice(1500, size=1100, replace=False))
+    incl = IndexMap(k=1, src_size=1100, dst_size=1500, idx=idx)
+    src = rng.normal(size=(1100, p))
+    dst = rng.normal(size=(1500, q))
+    table = _similarity(src, dst, incl)
+    for i in range(p):
+        for j in range(q):
+            assert table[i, j] == pes(src[:, i], dst[:, j], incl)
+    m = pem(src, dst, incl, theta=0.0)
+    assert m.pairs
+    for i, j, s in m.pairs:
+        assert s == pes(src[:, i], dst[:, j], incl)
+
+
+def test_pes_equals_pem_on_matched_pairs_of_a_real_grid():
+    points, _ = four_disks(400, seed=11)
+    fc = filtration_values(delaunay_2d(PointCloud(points)))
+    spectra = []
+    track(fc, build_grid(fc, 1, m=40, steps=30), spectra_out=spectra)
+    matched = differ = 0
+    for prev, cur in zip(spectra, spectra[1:]):
+        incl = inclusion_map(sublevel(fc, prev.t), sublevel(fc, cur.t), 1)
+        for i, j, s in pem(prev.vectors(), cur.vectors(), incl).pairs:
+            matched += 1
+            differ += s != pes(prev.pairs[i].vector, cur.pairs[j].vector, incl)
+    assert matched > 300
+    assert differ == 0
 
 
 def test_pem_mutual_best(rng):

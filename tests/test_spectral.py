@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -340,6 +341,17 @@ def test_iterative_path_rejects_full_budget(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_LIMIT", 4)
     with pytest.raises(SolverError):
         spectrum_at(cycle_complex(12), 1.0, 1)
+
+
+def test_arpack_error_is_a_solver_error(monkeypatch):
+    # ARPACK's other failures, not only ArpackNoConvergence, are solver errors
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(3)
+
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 4)
+    monkeypatch.setattr(spla, "eigsh", fail)
+    with pytest.raises(SolverError, match="ArpackError"):
+        spectrum_at(cycle_complex(12), 1.0, 1, m=3)
 
 
 def test_budget_inside_repeated_eigenvalue():
